@@ -13,7 +13,7 @@
 //	kpbench -json -n 64,128 # per-phase op counts/timings as JSON
 //	kpbench -rhs 8 -n 256   # batched multi-RHS rows (implies -json)
 //	kpbench -ring zz        # exact ℤ rows: residues, CRT, parallel efficiency (implies -json)
-//	kpbench -structured     # Toeplitz workload: dense vs implicit vs GS rows
+//	kpbench -structured     # Toeplitz workload: Theorem 4 vs Gohberg–Semencul rows
 //	kpbench -pprof :6060    # serve net/http/pprof + /debug/vars
 package main
 
@@ -47,7 +47,7 @@ func main() {
 		jsonF    = flag.Bool("json", false, "run the per-phase solve benchmark and emit a BENCH JSON report instead of experiment tables")
 		nFlag    = flag.String("n", "64,128,256", "comma-separated system dimensions for -json")
 		rhs      = flag.Int("rhs", 1, "right-hand sides per system: >1 adds batched SolveBatch rows (with their independent-solves baseline) to the -json report, and implies -json")
-		structd  = flag.Bool("structured", false, "add the Toeplitz workload to the -json report (dense vs implicit vs Gohberg–Semencul rows at -structured-n), and implies -json")
+		structd  = flag.Bool("structured", false, "add the Toeplitz workload to the -json report (Theorem 4 and Gohberg–Semencul rows at -structured-n), and implies -json")
 		ringF    = flag.String("ring", "fp", "fp, or zz to add exact integer RNS/CRT rows (residue count, per-residue wall, CRT/reconstruct time, parallel efficiency) to the -json report at the -n dimensions; implies -json")
 		structN  = flag.String("structured-n", "256,1024", "comma-separated Toeplitz dimensions for -structured")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and the obs metrics registry (/debug/vars) on this address, e.g. :6060")

@@ -7,7 +7,6 @@
 //
 //	kpd -addr :8080                      # defaults: parallel multiplier, 64-entry cache
 //	kpd -addr :8080 -cache 256 -queue 64 # bigger cache, deeper waiting room
-//	kpd -addr :8080 -precond implicit    # black-box Ã = A·H·D, no dense matmul
 //	kpd -addr :8080 -log json            # structured request + attempt records
 //
 // Endpoints: POST /v1/solve, /v1/solve_batch, /v1/factor (JSON bodies, see
@@ -46,7 +45,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		mul      = flag.String("mul", "parallel", "matrix multiplier: "+strings.Join(matrix.Names(), "|"))
-		precond  = flag.String("precond", "dense", "default preconditioner route: dense | implicit (requests may override per call)")
 		seed     = flag.Uint64("seed", 0, "root randomness seed (0 = deterministic default; each request runs on a Split child)")
 		cache    = flag.Int("cache", 64, "factorization cache capacity (matrices)")
 		conc     = flag.Int("concurrency", 0, "max solves executing at once (0 = GOMAXPROCS)")
@@ -88,7 +86,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Multiplier:    *mul,
-		PrecondMode:   *precond,
 		Seed:          *seed,
 		CacheSize:     *cache,
 		MaxConcurrent: *conc,

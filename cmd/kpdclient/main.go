@@ -39,7 +39,6 @@ func main() {
 		repeat   = flag.Int("repeat", 1, "send the same system this many times (2nd+ should be cache hits)")
 		deadline = flag.Duration("deadline", 10*time.Second, "per-request deadline")
 		slow     = flag.Duration("slow", 250*time.Millisecond, "round-trip time above which the server's trace and profile URLs are printed (0 disables; match kpd -trace-slow)")
-		precond  = flag.String("precond", "", "preconditioner route: dense | implicit (empty = server default; cache entries are per-mode)")
 		ring     = flag.String("ring", "fp", "coefficient ring: fp (one word prime field) | zz (exact over the integers; op=solve only)")
 	)
 	flag.Parse()
@@ -48,7 +47,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *ring == "zz" {
-		runRing(*addr, *op, *n, *seed, *repeat, *deadline, *precond, *slow)
+		runRing(*addr, *op, *n, *seed, *repeat, *deadline, *slow)
 		return
 	}
 	if *ring != "fp" {
@@ -67,7 +66,6 @@ func main() {
 		P:          *p,
 		A:          denseRows(a),
 		DeadlineMS: deadline.Milliseconds(),
-		Precond:    *precond,
 	}
 	var bs *matrix.Dense[uint64]
 	switch *op {
@@ -150,7 +148,7 @@ func noteSlow(rtt, slow time.Duration, traceID string) {
 		rtt.Round(time.Millisecond), traceID, traceID)
 }
 
-func runRing(addr, op string, n int, seed uint64, repeat int, deadline time.Duration, precond string, slow time.Duration) {
+func runRing(addr, op string, n int, seed uint64, repeat int, deadline time.Duration, slow time.Duration) {
 	if op != "solve" {
 		fmt.Fprintf(os.Stderr, "kpdclient: -ring zz supports -op solve only, got %q\n", op)
 		os.Exit(2)
@@ -176,7 +174,6 @@ func runRing(addr, op string, n int, seed uint64, repeat int, deadline time.Dura
 		Az:         az,
 		Bz:         bz,
 		DeadlineMS: deadline.Milliseconds(),
-		Precond:    precond,
 	}
 	client := &server.Client{BaseURL: addr}
 	ctx := context.Background()

@@ -8,7 +8,6 @@
 //	kpsolve -op solve -in system.txt  # read a system from a file
 //	kpsolve -n 64 -rhs 8              # batched solve of 8 right-hand sides
 //	kpsolve -n 256 -mul parallel      # pooled multicore multiplication
-//	kpsolve -n 256 -precond implicit  # black-box Ã = A·H·D (no dense matmul)
 //	kpsolve -n 256 -op gs             # Theorem 3 Toeplitz Gohberg–Semencul solve
 //	kpsolve -n 8 -ring zz -op solve   # exact solve over ℤ (RNS/CRT engine)
 //	kpsolve -n 8 -ring qq -op det     # exact determinant of a rational matrix
@@ -74,7 +73,6 @@ func main() {
 		p      = flag.Uint64("p", ff.P62, "prime field modulus (for -in files it must match the file)")
 		op     = flag.String("op", "solve", "operation: solve | det | inv | rank | transposed | gs (Theorem 3 Toeplitz fast path)")
 		ring   = flag.String("ring", "fp", "coefficient ring: fp (one word prime field) | zz (exact over the integers) | qq (exact over the rationals)")
-		prec   = flag.String("precond", "dense", "preconditioner route for the Theorem 4 pipeline: dense (materialize Ã = A·H·D) | implicit (black-box composition, no dense matmul)")
 		in     = flag.String("in", "", "read the system from a file instead of generating it")
 		rhs    = flag.Int("rhs", 1, "right-hand sides for randomly generated op=solve instances; >1 solves them as one batch")
 		mul    = flag.String("mul", "classical", "matrix multiplier: "+strings.Join(matrix.Names(), "|"))
@@ -192,7 +190,7 @@ func main() {
 			// rns/crt, rns/verify) on the process-global active Observer.
 			obs.SetActive(observer)
 		}
-		runRing(*ring, *op, *n, *seed, names[0], *prec, logger)
+		runRing(*ring, *op, *n, *seed, names[0], logger)
 		if *trace != "" {
 			if err := writeTrace(observer, nil, *trace); err != nil {
 				fatal(err)
@@ -224,12 +222,11 @@ func main() {
 		}
 	}
 	s, err := core.NewSolver[uint64](f, core.Options{
-		Seed:        *seed,
-		Multiplier:  names[0],
-		PrecondMode: *prec,
-		Observer:    observer,
-		Instrument:  observer != nil,
-		Logger:      logger,
+		Seed:       *seed,
+		Multiplier: names[0],
+		Observer:   observer,
+		Instrument: observer != nil,
+		Logger:     logger,
 	})
 	if err != nil {
 		usage(err)
@@ -338,15 +335,14 @@ func main() {
 // runRing executes op over ℤ or ℚ through the RNS/CRT engine: a random
 // instance, an exact answer (big rationals/integers on stdout), and the
 // residue statistics that summarize the multi-modulus run.
-func runRing(ring, op string, n int, seed uint64, mul, prec string, logger *slog.Logger) {
+func runRing(ring, op string, n int, seed uint64, mul string, logger *slog.Logger) {
 	if op != "solve" && op != "det" && op != "rank" {
 		usage(fmt.Errorf("op %q is not available over %s; -ring zz|qq supports solve|det|rank", op, ring))
 	}
 	s, err := core.NewIntSolver(core.IntOptions{
-		Seed:        seed,
-		Multiplier:  mul,
-		PrecondMode: prec,
-		Logger:      logger,
+		Seed:       seed,
+		Multiplier: mul,
+		Logger:     logger,
 	})
 	if err != nil {
 		usage(err)

@@ -79,14 +79,6 @@ type Options struct {
 	// (obs.BoundsReport) and the flight recorder, which need no
 	// configuration.
 	Logger *slog.Logger
-	// PrecondMode selects how Solve/SolveBatch/Factor realize the Theorem 4
-	// preconditioner Ã = A·H·D: "dense" (default, materialized with one
-	// O(n^ω) product) or "implicit" (A, H, D composed as black boxes; the
-	// Hankel factor applies through its cached NTT transform and the
-	// precondition phase performs zero dense matrix products). Results are
-	// identical either way; only the cost profile changes. Unknown names are
-	// a NewSolver error.
-	PrecondMode string
 }
 
 // Solver bundles a field, a random stream and the algorithm configuration.
@@ -100,7 +92,6 @@ type Solver[E any] struct {
 	stats   *matrix.MulStats
 	obs     *obs.Observer
 	logger  *slog.Logger
-	precond kp.PrecondMode
 }
 
 // NewSolver returns a Solver over the given field, or an error for an
@@ -133,10 +124,6 @@ func NewSolver[E any](f ff.Field[E], opts Options) (*Solver[E], error) {
 	if subset == 0 {
 		subset = kp.DefaultSubset(f)
 	}
-	precond, err := kp.ParsePrecondMode(opts.PrecondMode)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	s := &Solver[E]{
 		f:       f,
 		src:     ff.NewSource(seed),
@@ -146,7 +133,6 @@ func NewSolver[E any](f ff.Field[E], opts Options) (*Solver[E], error) {
 		wmul:    wmul,
 		obs:     opts.Observer,
 		logger:  opts.Logger,
-		precond: precond,
 	}
 	if opts.Instrument {
 		im := matrix.NewInstrumented(mul)
@@ -172,11 +158,8 @@ func MustNewSolver[E any](f ff.Field[E], opts Options) *Solver[E] {
 // params returns the solver's configuration as a kp.Params carrying the
 // given context.
 func (s *Solver[E]) params(ctx context.Context) kp.Params {
-	return kp.Params{Src: s.src, Subset: s.subset, Retries: s.retries, Ctx: ctx, Logger: s.logger, Precond: s.precond}
+	return kp.Params{Src: s.src, Subset: s.subset, Retries: s.retries, Ctx: ctx, Logger: s.logger}
 }
-
-// PrecondMode returns the preconditioner realization this solver uses.
-func (s *Solver[E]) PrecondMode() kp.PrecondMode { return s.precond }
 
 // WithSource returns a copy of the solver drawing all randomness from src
 // instead of the solver's own stream. A Solver's embedded source is a
@@ -209,9 +192,9 @@ func (s *Solver[E]) Solve(a *matrix.Dense[E], b []E) ([]E, error) {
 	return s.SolveCtx(context.Background(), a, b)
 }
 
-// SolveCtx is Solve with cooperative cancellation: ctx is checked between
-// the phases of an attempt and between Las Vegas attempts, and its error
-// is returned once it is done.
+// SolveCtx is Solve with cooperative cancellation: ctx is checked before
+// every black-box apply of an attempt and between Las Vegas attempts, and
+// its error is returned once it is done.
 func (s *Solver[E]) SolveCtx(ctx context.Context, a *matrix.Dense[E], b []E) ([]E, error) {
 	if err := s.checkChar(a.Rows); err != nil {
 		return nil, err
@@ -220,10 +203,10 @@ func (s *Solver[E]) SolveCtx(ctx context.Context, a *matrix.Dense[E], b []E) ([]
 }
 
 // SolveBatch solves A·X = B for every column of B through the batched
-// engine: the preconditioning, Krylov doubling and characteristic
+// engine: the preconditioning, Krylov sequence and characteristic
 // polynomial are computed once per attempt and shared by all k = B.Cols
-// right-hand sides, so the marginal cost of an extra RHS is roughly one
-// matrix product. Results are verified per column and bit-identical to k
+// right-hand sides, so the marginal cost of an extra RHS is one backsolve
+// of n−1 matrix-vector applies. Results are verified per column and bit-identical to k
 // independent Solve calls. Requires characteristic 0 or > n.
 func (s *Solver[E]) SolveBatch(a, b *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	return s.SolveBatchCtx(context.Background(), a, b)

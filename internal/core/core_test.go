@@ -333,9 +333,17 @@ func TestObserverAndInstrumentOptions(t *testing.T) {
 	if len(top) != len(want) {
 		t.Fatalf("unexpected top-level spans: %v", top)
 	}
+	// A one-shot solve applies A·H·D as a composed black box: no dense
+	// product. Factor forms Ã once, with exactly one.
+	if calls := s.MulStats().Snapshot().Calls; calls != 0 {
+		t.Fatalf("Solve made %d multiplier calls, want 0", calls)
+	}
+	if _, err := s.Factor(a); err != nil {
+		t.Fatal(err)
+	}
 	snap := s.MulStats().Snapshot()
-	if snap.FieldOps == 0 {
-		t.Fatal("instrumented multiplier saw no work")
+	if snap.Calls != 1 || snap.FieldOps == 0 {
+		t.Fatalf("Factor made %d multiplier calls (%d field-ops), want 1", snap.Calls, snap.FieldOps)
 	}
 	if got := o.TotalFieldOps(); got != snap.FieldOps {
 		t.Fatalf("span field-ops %d != instrumented field-ops %d", got, snap.FieldOps)

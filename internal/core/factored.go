@@ -8,12 +8,12 @@ import (
 )
 
 // Factored is a reusable handle on the shared Theorem 4 front end for one
-// non-singular matrix, produced by Solver.Factor. The preconditioner, the
-// randomness, the characteristic polynomial and the Ã^{2^i} power ladder
-// are cached, so every call below replays only the backsolve (and its
-// verification) — observable as batch/backsolve spans with no further
-// batch/krylov span. Safe for concurrent use: the kpd factorization cache
-// shares one handle across requests (see kp.Factorization).
+// non-singular matrix, produced by Solver.Factor. The formed Ã = A·H·D, the
+// randomness and the characteristic polynomial are cached, so every call
+// below replays only the backsolve (and its verification) — observable as
+// batch/backsolve spans with no further batch/krylov span. Safe for
+// concurrent use: the kpd factorization cache shares one handle across
+// requests (see kp.Factorization).
 type Factored[E any] struct {
 	fa *kp.Factorization[E]
 }

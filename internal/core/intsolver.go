@@ -23,10 +23,6 @@ type IntOptions struct {
 	// Multiplier names the matrix-multiplication black box used inside
 	// every residue field: one of matrix.Names(); "" selects "classical".
 	Multiplier string
-	// PrecondMode selects the per-residue preconditioner realization
-	// ("dense" or "implicit"); every generated prime is NTT-friendly, so
-	// the implicit Hankel fast path is always available.
-	PrecondMode string
 	// Logger receives the per-attempt structured records of every residue
 	// solve (nil disables logging, as in Options).
 	Logger *slog.Logger
@@ -48,18 +44,13 @@ type IntSolver struct {
 	seed    uint64
 	retries int
 	rp      rns.Params
-	precond kp.PrecondMode
 	logger  *slog.Logger
 }
 
 // NewIntSolver returns an IntSolver, or an error for an unknown
-// Multiplier/PrecondMode name or invalid RNS knobs.
+// Multiplier name or invalid RNS knobs.
 func NewIntSolver(opts IntOptions) (*IntSolver, error) {
 	mul, err := matrix.ByName[uint64](opts.Multiplier)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	precond, err := kp.ParsePrecondMode(opts.PrecondMode)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -75,7 +66,6 @@ func NewIntSolver(opts IntOptions) (*IntSolver, error) {
 		seed:    seed,
 		retries: opts.Retries,
 		rp:      opts.RNS,
-		precond: precond,
 		logger:  opts.Logger,
 	}, nil
 }
@@ -93,7 +83,7 @@ func MustNewIntSolver(opts IntOptions) *IntSolver {
 // deterministically) keeps the solver safe for concurrent callers: the
 // engine splits one child source per residue from it.
 func (s *IntSolver) params(ctx context.Context) kp.Params {
-	return kp.Params{Src: ff.NewSource(s.seed), Retries: s.retries, Ctx: ctx, Precond: s.precond, Logger: s.logger}
+	return kp.Params{Src: ff.NewSource(s.seed), Retries: s.retries, Ctx: ctx, Logger: s.logger}
 }
 
 // Engine exposes the underlying kp.IntEngine (for cache inspection).

@@ -113,9 +113,6 @@ func TestNewIntSolverValidation(t *testing.T) {
 	if _, err := NewIntSolver(IntOptions{Multiplier: "nope"}); err == nil {
 		t.Fatal("unknown multiplier accepted")
 	}
-	if _, err := NewIntSolver(IntOptions{PrecondMode: "nope"}); err == nil {
-		t.Fatal("unknown precond mode accepted")
-	}
 	if _, err := NewIntSolver(IntOptions{RNS: rns.Params{Verify: "nope"}}); err == nil {
 		t.Fatal("unknown verify mode accepted")
 	}

@@ -34,8 +34,8 @@ type BenchPhase struct {
 	MulCalls uint64 `json:"mul_calls"`
 	Spans    int    `json:"spans"`
 	// ApplyNs / ApplyCalls are the black-box apply time and count inside
-	// the phase — the implicit route's analogue of mul_calls (dense
-	// products never happen there, structured applies do).
+	// the phase — the Las Vegas route's analogue of mul_calls (a one-shot
+	// solve makes no dense product, only matrix-vector applies).
 	ApplyNs    int64  `json:"apply_ns,omitempty"`
 	ApplyCalls uint64 `json:"apply_calls,omitempty"`
 }
@@ -47,17 +47,17 @@ type BenchRun struct {
 	// Rhs is the number of right-hand sides; 0 (legacy reports) and 1 both
 	// mean a single traced Solve. Rows with Rhs > 1 measure SolveBatch.
 	Rhs int `json:"rhs,omitempty"`
-	// Precond is the preconditioner route: "dense" (materialized Ã, also
-	// the meaning of "" in legacy reports), "implicit" (black-box Ã), or
-	// "gs" (the Theorem 3 Gohberg–Semencul fast path, Toeplitz rows only).
+	// Precond is "gs" on the Theorem 3 Gohberg–Semencul rows (Toeplitz
+	// workload only) and empty on Theorem 4 rows. Legacy reports also carry
+	// "dense" (materialized Ã, the same cell as "") and "implicit".
 	Precond string `json:"precond,omitempty"`
 	// Workload is "" for a dense random system, "toeplitz" for the
 	// structured workload (A is a random non-singular Toeplitz matrix).
 	Workload string                `json:"workload,omitempty"`
 	WallNs   int64                 `json:"wall_ns"`
 	Phases   map[string]BenchPhase `json:"phases"`
-	// PrecondNs is the wall time of the precondition phase alone — the
-	// head-to-head cell for dense formation of A·H·D vs implicit wiring.
+	// PrecondNs is the wall time of the precondition phase alone: wiring
+	// for a one-shot solve, one dense product for a batch.
 	PrecondNs int64 `json:"precond_ns,omitempty"`
 	// ApplyNs / ApplyCalls total the black-box apply work across phases.
 	ApplyNs    int64  `json:"apply_ns,omitempty"`
@@ -209,22 +209,6 @@ func BenchJSON(ns []int, muls []string, seed uint64, rhs int) (*BenchReport, err
 			report.Runs = append(report.Runs, *batch)
 		}
 
-		// One implicit-preconditioner row per n: the same solve with Ã left
-		// as a black-box composition. The multiplier label is nominal — the
-		// implicit route performs no dense matrix-matrix products, which is
-		// exactly what its precond_ns and mul-call columns demonstrate.
-		impOpts := core.Options{Seed: seed, Multiplier: "classical", Instrument: true, PrecondMode: "implicit"}
-		imp, err := benchOne(f, impOpts, a, n, "classical", prev, func(s *core.Solver[uint64]) (func() bool, error) {
-			x, err := s.Solve(a, b)
-			if err != nil {
-				return nil, err
-			}
-			return func() bool { return ff.VecEqual[uint64](f, a.MulVec(f, x), b) }, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench n=%d implicit: %w", n, err)
-		}
-		report.Runs = append(report.Runs, *imp)
 	}
 	report.ObsTimelineSampleNs, report.ObsExemplarObserveNs = measureObsCosts()
 	report.Metrics = obs.MetricsSnapshot()
@@ -257,12 +241,11 @@ func measureObsCosts() (sampleNs, exemplarNs int64) {
 }
 
 // BenchStructured runs the Toeplitz workload: for each n, a random
-// non-singular Toeplitz system solved three ways — the Theorem 4 dense
-// route on the materialized matrix, the same pipeline with the implicit
-// preconditioner, and the Theorem 3 Gohberg–Semencul fast path that never
-// materializes anything dense. The GS row has no phase table (the
-// structured backend is not span-instrumented); its wall_ns against the
-// dense row's is the headline structured speedup.
+// non-singular Toeplitz system solved two ways — the Theorem 4 driver on
+// the materialized matrix, and the Theorem 3 Gohberg–Semencul fast path
+// that never materializes anything dense. The GS row has no phase table
+// (the structured backend is not span-instrumented); its wall_ns against
+// the Theorem 4 row's is the headline structured speedup.
 func BenchStructured(ns []int, seed uint64) ([]BenchRun, error) {
 	f := fpCirc
 	prev := obs.Active()
@@ -286,21 +269,19 @@ func BenchStructured(ns []int, seed uint64) ([]BenchRun, error) {
 		}
 		b := ff.SampleVec[uint64](f, src, n, f.Modulus())
 
-		for _, mode := range []string{"dense", "implicit"} {
-			opts := core.Options{Seed: seed, Multiplier: "classical", Instrument: true, PrecondMode: mode}
-			run, err := benchOne(f, opts, a, n, "classical", prev, func(s *core.Solver[uint64]) (func() bool, error) {
-				x, err := s.Solve(a, b)
-				if err != nil {
-					return nil, err
-				}
-				return func() bool { return ff.VecEqual[uint64](f, a.MulVec(f, x), b) }, nil
-			})
+		opts := core.Options{Seed: seed, Multiplier: "classical", Instrument: true}
+		run, err := benchOne(f, opts, a, n, "classical", prev, func(s *core.Solver[uint64]) (func() bool, error) {
+			x, err := s.Solve(a, b)
 			if err != nil {
-				return nil, fmt.Errorf("structured bench n=%d %s: %w", n, mode, err)
+				return nil, err
 			}
-			run.Workload = "toeplitz"
-			runs = append(runs, *run)
+			return func() bool { return ff.VecEqual[uint64](f, a.MulVec(f, x), b) }, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("structured bench n=%d: %w", n, err)
 		}
+		run.Workload = "toeplitz"
+		runs = append(runs, *run)
 
 		// Theorem 3 fast path: Newton + Gohberg–Semencul on the 2n−1
 		// defining entries, one structured solve, no dense object anywhere.
@@ -380,7 +361,6 @@ func benchOne(f ff.Fp64, opts core.Options, a *matrix.Dense[uint64], n int, name
 	return &BenchRun{
 		Dim:           n,
 		Multiplier:    name,
-		Precond:       string(s.PrecondMode()),
 		WallNs:        wall.Nanoseconds(),
 		Phases:        phases,
 		PrecondNs:     precondNs,

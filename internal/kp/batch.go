@@ -2,9 +2,7 @@ package kp
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/ff"
@@ -14,15 +12,14 @@ import (
 )
 
 // Batched multi-RHS solve engine. Everything expensive in a Theorem 4
-// attempt — the preconditioning Ã = A·H·D, the Krylov doubling and its
-// Ã^{2^i} power ladder, and the Lemma 1 characteristic-polynomial recovery
-// — depends only on (A, randomness), never on the right-hand side. The
-// engine therefore runs that front end once and amortizes it across k
-// right-hand sides: the per-RHS tail is one block Cayley–Hamilton
-// backsolve, fused as matrix–matrix work over all pending columns, plus
-// the A·X = B verification. At k = 8 this shares the ~dozen full n×n
-// products of the squaring ladder and the minpoly Toeplitz machinery,
-// leaving roughly one matrix product of marginal cost per extra RHS.
+// attempt — the preconditioning Ã = A·H·D, the Krylov sequence and the
+// Berlekamp–Massey characteristic polynomial — depends only on (A,
+// randomness), never on the right-hand side. The engine therefore runs that
+// front end once and amortizes it across k right-hand sides: the per-RHS
+// tail is one Cayley–Hamilton backsolve of n−1 applies plus the A·x = b
+// verification. Because the front end is reused, it forms Ã once with the
+// multiplier (one n×n product) and applies it as a dense box, which is
+// cheaper per apply than the composed A·H·D that one-shot Solve uses.
 //
 // The same split yields the reusable handle: Factor captures the certified
 // front end in a Factorization whose Solve/InverseApply replay only the
@@ -30,84 +27,35 @@ import (
 // batch/krylov span).
 
 // Factorization is the reusable product of the shared Theorem 4 front end
-// for one non-singular matrix: the preconditioner, the drawn randomness,
-// the characteristic polynomial of Ã, and the cached power ladder Ã^{2^i}.
-// It is obtained from Factor and amortizes every subsequent solve against
-// the same matrix down to one block backsolve.
+// for one non-singular matrix: the formed Ã, the drawn randomness and the
+// characteristic polynomial of Ã. It is obtained from Factor and amortizes
+// every subsequent solve against the same matrix down to one backsolve.
 //
-// Solve, InverseApply and Det are safe for concurrent use: everything but
-// the on-demand power-ladder cache is immutable after Factor, and the
-// ladder is read and extended through a mutex-guarded snapshot/merge (each
-// call works on a private copy of the slice header, so a concurrent
-// extension is recomputed rather than raced on — see backsolve). The kpd
-// factorization cache relies on this to hand one handle to many requests.
+// Solve, InverseApply and Det are safe for concurrent use: a Factorization
+// is immutable after Factor. The kpd factorization cache relies on this to
+// hand one handle to many requests.
 type Factorization[E any] struct {
 	f      ff.Field[E]
 	mul    matrix.Multiplier[E]
 	a      *matrix.Dense[E]
 	rnd    Randomness[E]
-	atilde *matrix.Dense[E]
-	hd     *matrix.Dense[E] // dense Hankel preconditioner H
-	cp     []E              // char poly of Ã, low degree first, cp[n] = 1
-	scale  E                // −1/cp[0]
+	atilde matrix.BlackBox[E] // the formed Ã = A·H·D as a dense box
+	h      structured.Hankel[E]
+	cp     []E // char poly of Ã, low degree first, cp[n] = 1
+	scale  E   // −1/cp[0]
 	n      int
-
-	// mode is the preconditioner realization this factorization was built
-	// under (it determines the backsolve route and is part of the kpd cache
-	// key). In PrecondImplicit, atilde/hd/pows stay nil and abox/h carry the
-	// operator instead.
-	mode PrecondMode
-	abox matrix.BlackBox[E]
-	h    structured.Hankel[E]
-
-	// mu guards pows, the Ã^{2^i} ladder shared by concurrent backsolves.
-	// The individual matrices are immutable once appended; only the slice
-	// itself mutates.
-	mu   sync.Mutex
-	pows []*matrix.Dense[E]
-}
-
-// Mode returns the preconditioner realization the factorization was built
-// under.
-func (fa *Factorization[E]) Mode() PrecondMode { return fa.mode }
-
-// ladderSnapshot returns a private copy of the power-ladder slice header.
-// The caller may append to it freely: the copy has its own backing array,
-// and the shared matrices inside are never written after creation.
-func (fa *Factorization[E]) ladderSnapshot() []*matrix.Dense[E] {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	return append(make([]*matrix.Dense[E], 0, len(fa.pows)+2), fa.pows...)
-}
-
-// ladderMerge publishes a ladder extended by a backsolve, keeping the
-// longest one seen. Concurrent extenders compute identical matrices (the
-// ladder is the deterministic squaring sequence of Ã), so whichever copy
-// wins, subsequent snapshots see a correct prefix of the same sequence.
-func (fa *Factorization[E]) ladderMerge(ladder []*matrix.Dense[E]) {
-	fa.mu.Lock()
-	if len(ladder) > len(fa.pows) {
-		fa.pows = ladder
-	}
-	fa.mu.Unlock()
 }
 
 // factorOnce runs the shared front end of one attempt with the supplied
 // randomness, recording the batch/precondition, batch/krylov and
 // batch/minpoly spans. A zero constant term (singular Ã: unlucky
 // randomness or a singular input) surfaces as ff.ErrDivisionByZero.
-func factorOnce[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], rnd Randomness[E], mode PrecondMode) (*Factorization[E], error) {
-	if mode == PrecondImplicit {
-		return factorOnceImplicit(ctx, f, mul, a, rnd)
-	}
-	n := a.Rows
+func factorOnce[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], rnd Randomness[E]) (*Factorization[E], error) {
 	sp := obs.StartPhaseCtx(ctx, obs.PhaseBatchPrecondition)
 	defer sp.End()
-	hd := matrix.HankelDense(f, rnd.H)
-	atilde := matrix.ScaleColumnsDiag(f, mul.Mul(f, a, hd), rnd.D)
+	atilde := timedBox[E]{b: matrix.DenseBox[E]{M: precondition(f, mul, a, rnd)}}
 	sp.End()
-	pows := make([]*matrix.Dense[E], 0, 8)
-	cp, err := charPolyCtx(ctx, f, mul, atilde, rnd, obs.PhaseBatchKrylov, obs.PhaseBatchMinPoly, &pows)
+	cp, err := charPolyBox(ctx, f, atilde, rnd, obs.PhaseBatchKrylov, obs.PhaseBatchMinPoly)
 	if err != nil {
 		return nil, err
 	}
@@ -116,77 +64,29 @@ func factorOnce[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplier
 		return nil, inPhase(obs.PhaseBatchMinPoly, err)
 	}
 	return &Factorization[E]{
-		f: f, mul: mul, a: a, rnd: rnd, atilde: atilde, hd: hd,
-		cp: cp, scale: scale, pows: pows, n: n, mode: PrecondDense,
-	}, nil
-}
-
-// factorOnceImplicit is the shared front end with Ã composed, never formed:
-// the batch/precondition span performs no dense multiplication at all, and
-// the Krylov/minpoly phases run on black-box applies.
-func factorOnceImplicit[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], rnd Randomness[E]) (*Factorization[E], error) {
-	n := a.Rows
-	sp := obs.StartPhaseCtx(ctx, obs.PhaseBatchPrecondition)
-	defer sp.End()
-	abox, h := preconditionBox(f, a, rnd)
-	sp.End()
-	cp, err := charPolyImplicitCtx(ctx, f, abox, rnd, obs.PhaseBatchKrylov, obs.PhaseBatchMinPoly)
-	if err != nil {
-		return nil, err
-	}
-	scale, err := f.Div(f.Neg(f.One()), cp[0])
-	if err != nil {
-		return nil, inPhase(obs.PhaseBatchMinPoly, err)
-	}
-	return &Factorization[E]{
-		f: f, mul: mul, a: a, rnd: rnd,
-		cp: cp, scale: scale, n: n, mode: PrecondImplicit, abox: abox, h: h,
+		f: f, mul: mul, a: a, rnd: rnd, atilde: atilde, h: structured.NewHankel(rnd.H),
+		cp: cp, scale: scale, n: a.Rows,
 	}, nil
 }
 
 // backsolve computes X = A⁻¹·B for the columns of bm through the cached
-// front end: one block Krylov doubling (reusing the Ã^{2^i} ladder, so no
-// squarings recur), the fused Cayley–Hamilton combination
-// −(1/c₀)·Σⱼ c_{j+1}·Ãʲ·B, and the preconditioner undo X = H·(D·X̃). The
-// result is unverified — callers wrap it in their own batch/verify check.
-func (fa *Factorization[E]) backsolve(ctx context.Context, bm *matrix.Dense[E]) *matrix.Dense[E] {
+// front end, one Cayley–Hamilton backsolve per column. The result is
+// unverified — callers wrap it in their own batch/verify check. ctx is
+// checked before every apply.
+func (fa *Factorization[E]) backsolve(ctx context.Context, bm *matrix.Dense[E]) (*matrix.Dense[E], error) {
 	sp := obs.StartPhaseCtx(ctx, obs.PhaseBatchBacksolve)
 	defer sp.End()
-	if fa.mode == PrecondImplicit {
-		return fa.backsolveImplicit(bm)
-	}
-	f, n, k := fa.f, fa.n, bm.Cols
-	ladder := fa.ladderSnapshot()
-	wb := matrix.KrylovBlockDoubling(f, fa.mul, fa.atilde, bm, n, &ladder)
-	fa.ladderMerge(ladder)
-	xt := matrix.CombineKrylovBlocks(f, wb, k, fa.cp[1:n+1])
-	// Fold the −1/c₀ scale and the diagonal D into one row sweep:
-	// row i of D·(scale·X̃) is (scale·dᵢ)·X̃ᵢ.
-	for i := 0; i < n; i++ {
-		ci := f.Mul(fa.scale, fa.rnd.D[i])
-		row := xt.Data[i*k : (i+1)*k]
-		for j := range row {
-			row[j] = f.Mul(ci, row[j])
+	out := matrix.NewDense(fa.f, fa.n, bm.Cols)
+	for j := 0; j < bm.Cols; j++ {
+		x, err := chBacksolve(ctx, fa.f, fa.atilde, fa.h, fa.rnd.D, fa.cp, fa.scale, bm.Col(j))
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range x {
+			out.Set(i, j, v)
 		}
 	}
-	return fa.mul.Mul(f, fa.hd, xt)
-}
-
-// backsolveImplicit runs the per-column iterative Cayley–Hamilton backsolve
-// on the composed operator: n−1 black-box applies per column (O(n² log n)
-// each with the cached-NTT Hankel apply), then the structured undo
-// x = H·(D·x̃) — no dense ladder, no dense H product.
-func (fa *Factorization[E]) backsolveImplicit(bm *matrix.Dense[E]) *matrix.Dense[E] {
-	f, n, k := fa.f, fa.n, bm.Cols
-	out := matrix.NewDense(f, n, k)
-	for j := 0; j < k; j++ {
-		xt := chBacksolveBox(f, fa.abox, fa.cp, fa.scale, bm.Col(j))
-		x := undoPrecondition(f, fa.h, fa.rnd.D, xt)
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out
+	return out, nil
 }
 
 // Dim returns the dimension of the factored matrix.
@@ -202,22 +102,23 @@ func (fa *Factorization[E]) Solve(b []E) ([]E, error) {
 }
 
 // SolveCtx is Solve carrying a request context: spans record under the
-// context's trace scope (per-request attribution in kpd) and ctx is not
-// otherwise consulted — the backsolve is non-iterative, so there is no
-// useful cancellation point inside it.
+// context's trace scope (per-request attribution in kpd), and ctx is
+// checked before every apply of the backsolve.
 func (fa *Factorization[E]) SolveCtx(ctx context.Context, b []E) ([]E, error) {
 	if len(b) != fa.n {
 		return nil, fmt.Errorf("kp: Factorization.Solve needs a length-%d right-hand side (got %d): %w", fa.n, len(b), ErrBadShape)
 	}
-	bm := &matrix.Dense[E]{Rows: fa.n, Cols: 1, Data: append([]E(nil), b...)}
-	x := fa.backsolve(ctx, bm)
+	x, err := fa.backsolve(ctx, &matrix.Dense[E]{Rows: fa.n, Cols: 1, Data: b})
+	if err != nil {
+		return nil, err
+	}
 	sp := obs.StartPhaseCtx(ctx, obs.PhaseBatchVerify)
-	ok := ff.VecEqual(fa.f, fa.a.MulVec(fa.f, x.Col(0)), b)
+	ok := ff.VecEqual(fa.f, fa.a.MulVec(fa.f, x.Data), b)
 	sp.End()
 	if !ok {
 		return nil, fmt.Errorf("kp: Factorization.Solve verification failed (stale or unlucky factorization): %w", ErrRetriesExhausted)
 	}
-	return x.Col(0), nil
+	return x.Data, nil
 }
 
 // InverseApply returns the verified X = A⁻¹·B for all columns of bm in one
@@ -236,7 +137,10 @@ func (fa *Factorization[E]) InverseApplyCtx(ctx context.Context, bm *matrix.Dens
 	if bm.Cols == 0 {
 		return matrix.NewDense(fa.f, fa.n, 0), nil
 	}
-	x := fa.backsolve(ctx, bm)
+	x, err := fa.backsolve(ctx, bm)
+	if err != nil {
+		return nil, err
+	}
 	sp := obs.StartPhaseCtx(ctx, obs.PhaseBatchVerify)
 	ok := fa.mul.Mul(fa.f, fa.a, x).Equal(fa.f, bm)
 	sp.End()
@@ -286,9 +190,9 @@ func Factor[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], 
 		}
 		rnd := DrawRandomness(f, p.Src, n, p.Subset)
 		start := time.Now()
-		fa, err := factorOnce(p.Ctx, f, mul, a, rnd, p.Precond)
+		fa, err := factorOnce(p.Ctx, f, mul, a, rnd)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCancel(err) {
 				rec.finish(err)
 				return nil, err
 			}
@@ -300,9 +204,13 @@ func Factor[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], 
 			return nil, err
 		}
 		probe := ff.SampleVec(f, p.Src, n, p.Subset)
-		x := fa.backsolve(p.Ctx, &matrix.Dense[E]{Rows: n, Cols: 1, Data: append([]E(nil), probe...)})
+		x, err := fa.backsolve(p.Ctx, &matrix.Dense[E]{Rows: n, Cols: 1, Data: probe})
+		if err != nil {
+			rec.finish(err)
+			return nil, err
+		}
 		sp := obs.StartPhaseCtx(p.Ctx, obs.PhaseBatchVerify)
-		ok := ff.VecEqual(f, a.MulVec(f, x.Col(0)), probe)
+		ok := ff.VecEqual(f, a.MulVec(f, x.Data), probe)
 		sp.End()
 		if ok {
 			rec.attempt(obs.OutcomeSuccess, "", time.Since(start))
@@ -347,9 +255,9 @@ func SolveBatch[E any](f ff.Field[E], mul matrix.Multiplier[E], a, bm *matrix.De
 		}
 		rnd := DrawRandomness(f, p.Src, n, p.Subset)
 		start := time.Now()
-		fa, err := factorOnce(p.Ctx, f, mul, a, rnd, p.Precond)
+		fa, err := factorOnce(p.Ctx, f, mul, a, rnd)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCancel(err) {
 				rec.finish(err)
 				return nil, err
 			}
@@ -360,8 +268,11 @@ func SolveBatch[E any](f ff.Field[E], mul matrix.Multiplier[E], a, bm *matrix.De
 			rec.finish(err)
 			return nil, err
 		}
-		sub := pickColumns(f, bm, pending)
-		x := fa.backsolve(p.Ctx, sub)
+		x, err := fa.backsolve(p.Ctx, pickColumns(f, bm, pending))
+		if err != nil {
+			rec.finish(err)
+			return nil, err
+		}
 		sp := obs.StartPhaseCtx(p.Ctx, obs.PhaseBatchVerify)
 		ax := fa.mul.Mul(f, a, x)
 		var still []int

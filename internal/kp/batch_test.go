@@ -231,6 +231,19 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled Factor: err = %v", err)
 	}
 
+	// A cached factorization's backsolve checks the context before its
+	// applies too, so a cancelled cache hit stops instead of finishing.
+	fa, err := Factor[uint64](f, matrix.Classical[uint64]{}, a, Params{Src: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fa.SolveCtx(done, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Factorization.SolveCtx: err = %v", err)
+	}
+	if _, err := fa.InverseApplyCtx(done, bm); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Factorization.InverseApplyCtx: err = %v", err)
+	}
+
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel2()
 	if _, err := Solve[uint64](f, matrix.Classical[uint64]{}, a, b, Params{Src: src, Ctx: expired}); !errors.Is(err, context.DeadlineExceeded) {
@@ -238,7 +251,7 @@ func TestContextCancellation(t *testing.T) {
 	}
 
 	// Mid-flight: a solve big enough to outlive the cancel must stop at the
-	// next phase boundary rather than run to completion.
+	// next apply rather than run to completion.
 	n := 128
 	fBig, aBig := randomNonsingularP62(ff.NewSource(97), n)
 	bBig := ff.SampleVec[uint64](fBig, ff.NewSource(98), n, fBig.Modulus())
@@ -248,7 +261,7 @@ func TestContextCancellation(t *testing.T) {
 		cancel3()
 	}()
 	start := time.Now()
-	_, err := Solve[uint64](fBig, matrix.Classical[uint64]{}, aBig, bBig, Params{Src: ff.NewSource(99), Ctx: ctx})
+	_, err = Solve[uint64](fBig, matrix.Classical[uint64]{}, aBig, bBig, Params{Src: ff.NewSource(99), Ctx: ctx})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-flight cancel: err = %v", err)
 	}

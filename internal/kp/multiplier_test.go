@@ -10,8 +10,9 @@ import (
 // TestSolversIdenticalUnderAllMultipliers is the substrate property test:
 // the multiplication black box must be observationally invisible. Over a
 // finite field the arithmetic is exact, so for the same randomness stream
-// every multiplier — serial, tiled, pooled, Strassen — must drive Solve,
-// Det and the Bunch–Hopcroft inverse to bit-identical results.
+// every multiplier — serial, tiled, pooled, Strassen — must drive Factor
+// (whose formation of Ã is the Las Vegas route's one dense product), Det
+// and the Bunch–Hopcroft inverse to bit-identical results.
 func TestSolversIdenticalUnderAllMultipliers(t *testing.T) {
 	f := ff.MustFp64(ff.P62)
 	gen := ff.NewSource(424242)
@@ -19,8 +20,15 @@ func TestSolversIdenticalUnderAllMultipliers(t *testing.T) {
 		a := matrix.Random[uint64](f, gen, n, n, f.Modulus())
 		b := ff.SampleVec[uint64](f, gen, n, f.Modulus())
 		seed := uint64(1000 + trial)
+		factorSolve := func(mul matrix.Multiplier[uint64]) ([]uint64, error) {
+			fa, err := Factor[uint64](f, mul, a, Params{Src: ff.NewSource(seed), Subset: f.Modulus()})
+			if err != nil {
+				return nil, err
+			}
+			return fa.Solve(b)
+		}
 
-		wantX, err := Solve[uint64](f, matrix.Classical[uint64]{}, a, b, Params{Src: ff.NewSource(seed), Subset: f.Modulus()})
+		wantX, err := factorSolve(matrix.Classical[uint64]{})
 		if err != nil {
 			t.Fatalf("n=%d: classical solve: %v", n, err)
 		}
@@ -38,7 +46,7 @@ func TestSolversIdenticalUnderAllMultipliers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			x, err := Solve[uint64](f, mul, a, b, Params{Src: ff.NewSource(seed), Subset: f.Modulus()})
+			x, err := factorSolve(mul)
 			if err != nil {
 				t.Fatalf("n=%d %s: solve: %v", n, name, err)
 			}

@@ -18,6 +18,12 @@ func isDivisionError(err error) bool {
 	return errors.Is(err, ff.ErrDivisionByZero) || errors.Is(err, matrix.ErrSingular)
 }
 
+// isCancel reports a context cancellation or deadline, which ends a driver
+// call instead of counting as a failed attempt.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // Telemetry plumbing for the Las Vegas drivers: every randomized attempt is
 // recorded into obs' attempt statistics (feeding obs.BoundsReport, which
 // compares observed failure rates against equation (2), Lemma 2 and

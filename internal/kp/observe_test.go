@@ -13,57 +13,63 @@ import (
 	"repro/internal/obs"
 )
 
-// hookMul wraps the classical multiplier with a per-call hook — the lever
-// the cancellation and panic tests use to fail mid-phase, while a span is
-// open, rather than at the driver's own checkpoints.
-type hookMul struct {
+// hookCtx runs a hook on every Done call — the lever the cancellation and
+// panic tests use to fail mid-phase, while a span is open: the black-box
+// Krylov and backsolve loops consult the context before every apply.
+type hookCtx struct {
+	context.Context
 	calls int
 	hook  func(call int)
 }
 
-func (m *hookMul) Mul(f ff.Field[uint64], a, b *matrix.Dense[uint64]) *matrix.Dense[uint64] {
-	m.calls++
-	if m.hook != nil {
-		m.hook(m.calls)
-	}
-	return matrix.Classical[uint64]{}.Mul(f, a, b)
+func (c *hookCtx) Done() <-chan struct{} {
+	c.calls++
+	c.hook(c.calls)
+	return c.Context.Done()
 }
-func (m *hookMul) Name() string   { return "hook" }
-func (m *hookMul) Omega() float64 { return 3 }
 
-// TestSolveCancellationLeavesNoOpenSpan cancels the context from inside the
-// Krylov phase (the second multiplier call happens under the krylov span)
-// and asserts the driver surfaces ctx.Err() with every span closed — the
-// defer guards must unwind the Observer's current-span chain on the
-// cancellation path, or later spans would attach to a stale parent.
+// TestSolveCancellationLeavesNoOpenSpan cancels the context in the middle of
+// the Krylov loop (check 1 is the driver's, before the attempt; check k+1
+// precedes apply k) and asserts the driver stops there and surfaces
+// ctx.Err() with every span closed — the defer guards must unwind the
+// Observer's current-span chain on the cancellation path, or later spans
+// would attach to a stale parent.
 func TestSolveCancellationLeavesNoOpenSpan(t *testing.T) {
 	src := ff.NewSource(311)
-	f, a := randomNonsingularP62(src, 6)
-	b := ff.SampleVec[uint64](f, src, 6, f.Modulus())
+	n := 6
+	f, a := randomNonsingularP62(src, n)
+	b := ff.SampleVec[uint64](f, src, n, f.Modulus())
 
 	o := obs.New(0)
 	prev := obs.Active()
 	obs.SetActive(o)
 	defer obs.SetActive(prev)
 
-	ctx, cancel := context.WithCancel(context.Background())
+	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	mul := &hookMul{hook: func(call int) {
-		if call == 2 {
+	ctx := &hookCtx{Context: parent, hook: func(call int) {
+		if call == 4 {
 			cancel()
 		}
 	}}
-	_, err := Solve[uint64](f, mul, a, b, Params{Src: ff.NewSource(5), Ctx: ctx})
+	_, err := Solve[uint64](f, matrix.Classical[uint64]{}, a, b, Params{Src: ff.NewSource(5), Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if open := o.OpenSpanName(); open != "" {
 		t.Fatalf("span %q left open after cancellation", open)
 	}
+	totals := o.PhaseTotals()
+	if got := totals[obs.PhaseKrylov].ApplyCalls; got != 2 {
+		t.Fatalf("krylov ran %d applies, want the 2 before the cancelled check", got)
+	}
+	if totals[obs.PhaseMinPoly].Count != 0 {
+		t.Fatal("minpoly ran after the cancellation")
+	}
 }
 
-// TestSolvePanicLeavesNoOpenSpan panics out of the Krylov doubling and
-// asserts the defer guards still closed every span during unwinding.
+// TestSolvePanicLeavesNoOpenSpan panics out of the Krylov loop and asserts
+// the defer guards still closed every span during unwinding.
 func TestSolvePanicLeavesNoOpenSpan(t *testing.T) {
 	src := ff.NewSource(313)
 	f, a := randomNonsingularP62(src, 6)
@@ -74,8 +80,8 @@ func TestSolvePanicLeavesNoOpenSpan(t *testing.T) {
 	obs.SetActive(o)
 	defer obs.SetActive(prev)
 
-	mul := &hookMul{hook: func(call int) {
-		if call == 3 {
+	ctx := &hookCtx{Context: context.Background(), hook: func(call int) {
+		if call == 4 {
 			panic("mid-krylov failure injection")
 		}
 	}}
@@ -85,7 +91,7 @@ func TestSolvePanicLeavesNoOpenSpan(t *testing.T) {
 				t.Fatal("expected the injected panic to propagate")
 			}
 		}()
-		Solve[uint64](f, mul, a, b, Params{Src: ff.NewSource(5)})
+		Solve[uint64](f, matrix.Classical[uint64]{}, a, b, Params{Src: ff.NewSource(5), Ctx: ctx})
 	}()
 	if open := o.OpenSpanName(); open != "" {
 		t.Fatalf("span %q left open after panic", open)

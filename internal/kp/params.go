@@ -2,7 +2,6 @@ package kp
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 
 	"repro/internal/errs"
@@ -33,36 +32,6 @@ var (
 	ErrCharacteristicTooSmall = errs.ErrCharacteristicTooSmall
 )
 
-// PrecondMode selects how the Theorem 4 preconditioner Ã = A·H·D is
-// realized.
-type PrecondMode string
-
-const (
-	// PrecondDense materializes Ã with one dense matrix product (the
-	// original route; O(n^ω) formation, then dense Krylov doubling). This is
-	// the default — it is what the traced circuits and the processor-count
-	// claims of the paper measure.
-	PrecondDense PrecondMode = "dense"
-	// PrecondImplicit never forms Ã: A, H and D stay black boxes composed
-	// per apply (H through the cached-NTT structured product, D in O(n)),
-	// and the Krylov sequence, minpoly system and Cayley–Hamilton backsolve
-	// run on black-box applies — O(n² log n) total where the dense route
-	// pays O(n^ω log n). Answers are identical to PrecondDense: the exact
-	// field arithmetic and the randomness stream are the same.
-	PrecondImplicit PrecondMode = "implicit"
-)
-
-// ParsePrecondMode validates a mode string ("" selects PrecondDense).
-func ParsePrecondMode(s string) (PrecondMode, error) {
-	switch PrecondMode(s) {
-	case "", PrecondDense:
-		return PrecondDense, nil
-	case PrecondImplicit:
-		return PrecondImplicit, nil
-	}
-	return "", fmt.Errorf("kp: unknown precond mode %q (want %q or %q)", s, PrecondDense, PrecondImplicit)
-}
-
 // DefaultSeed seeds the deterministic random source when a caller supplies
 // none, so runs are replayable by default.
 const DefaultSeed uint64 = 0x9e3779b97f4a7c15
@@ -86,7 +55,7 @@ type Params struct {
 	// Retries bounds the Las Vegas attempts (0 = DefaultRetries).
 	Retries int
 	// Ctx, when non-nil, cancels cooperatively: the drivers check it
-	// between the Krylov/minpoly/backsolve phases of an attempt and
+	// before every black-box apply of the Krylov and backsolve loops and
 	// between Las Vegas attempts, returning ctx.Err() once it is done.
 	Ctx context.Context
 	// Logger, when non-nil, receives one structured slog record per Las
@@ -95,9 +64,6 @@ type Params struct {
 	// logging; the always-on attempt statistics (obs.BoundsReport) and
 	// flight recorder are unaffected by this knob.
 	Logger *slog.Logger
-	// Precond selects the preconditioner realization for Solve, Factor and
-	// SolveBatch ("" = PrecondDense). See PrecondMode.
-	Precond PrecondMode
 }
 
 // DefaultSubset returns the subset size Params.Subset 0 resolves to for
@@ -121,9 +87,6 @@ func fill[E any](f ff.Field[E], p Params) Params {
 	}
 	if p.Retries <= 0 {
 		p.Retries = DefaultRetries
-	}
-	if p.Precond == "" {
-		p.Precond = PrecondDense
 	}
 	return p
 }

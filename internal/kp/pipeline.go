@@ -1,0 +1,133 @@
+package kp
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"repro/internal/ff"
+	"repro/internal/matrix"
+	"repro/internal/obs"
+	"repro/internal/seq"
+	"repro/internal/structured"
+)
+
+// The concrete-field Las Vegas pipeline behind Solve, Factor and
+// SolveBatch. Those drivers verify with Field.Equal, so they never trace;
+// on a concrete field they run Theorem 4 with the sequential choices the
+// paper itself names instead of its O((log n)²)-depth circuit:
+//
+//   - Ã = A·H·D is a black box: Solve composes DenseBox(A)·Hankel·Diag per
+//     apply, while Factor and SolveBatch, which reuse their front end across
+//     many backsolves, form Ã once with the multiplier and apply it dense;
+//   - the sequence a_i = u·Ãⁱ·v, i < 2n, costs 2n−1 applies;
+//   - its minimum polynomial comes from Berlekamp–Massey (seq.MinPoly) in
+//     O(n²), where the circuit route solves the Lemma 1 Toeplitz system
+//     through the Theorem 3 Newton iteration;
+//   - the Cayley–Hamilton backsolve costs n−1 more applies.
+//
+// The answers are those of the branch-free SolveOnce on the same
+// randomness: a generator of degree n is the unique solution of Lemma 1's
+// system, and one of degree < n is exactly its singular T_n, reported as
+// the same minpoly division failure — so the retry walk and the eq (2)
+// attempt statistics are unchanged. Params.Ctx is checked before every
+// apply, so a cancelled request stops within one apply.
+
+// timedBox attributes per-apply wall time and call counts to the innermost
+// open obs span, surfacing as the apply_ns/apply_calls span fields and
+// kpbench's apply_ns column.
+type timedBox[E any] struct{ b matrix.BlackBox[E] }
+
+func (t timedBox[E]) Dims() (int, int) { return t.b.Dims() }
+
+func (t timedBox[E]) Apply(f ff.Field[E], x []E) []E {
+	start := time.Now()
+	out := t.b.Apply(f, x)
+	obs.AddApplyTime(time.Since(start), 1)
+	return out
+}
+
+// charPolyBox returns the characteristic polynomial of the black-box Ã,
+// low degree first: the Krylov phase projects a_i = u·Ãⁱ·v for i < 2n, and
+// the minpoly phase runs Berlekamp–Massey on them. A generator of degree
+// < n fails with ff.ErrDivisionByZero in the minpoly phase.
+func charPolyBox[E any](ctx context.Context, f ff.Field[E], atilde matrix.BlackBox[E], rnd Randomness[E], krylovPhase, minpolyPhase string) ([]E, error) {
+	n, _ := atilde.Dims()
+	sp := obs.StartPhaseCtx(ctx, krylovPhase)
+	defer sp.End()
+	a := make([]E, 2*n)
+	v := rnd.V
+	for i := range a {
+		if i > 0 {
+			if err := ctxErr(ctx); err != nil {
+				return nil, err
+			}
+			v = atilde.Apply(f, v)
+		}
+		a[i] = ff.DotFused(f, rnd.U, v)
+	}
+	sp.End()
+	sp = obs.StartPhaseCtx(ctx, minpolyPhase)
+	defer sp.End()
+	cp, err := seq.MinPoly(f, a)
+	if err == nil && len(cp) != n+1 {
+		err = fmt.Errorf("kp: sequence generator of degree %d < %d (singular T_n of Lemma 1): %w", len(cp)-1, n, ff.ErrDivisionByZero)
+	}
+	if err != nil {
+		return nil, inPhase(minpolyPhase, err)
+	}
+	return cp, nil
+}
+
+// chBacksolve returns x = H·(D·x̃) for the Cayley–Hamilton solution
+// x̃ = scale·Σ_{j<n} c_{j+1}·Ãʲ·b of Ã·x̃ = b, where scale = −1/c₀, with
+// n−1 applies.
+func chBacksolve[E any](ctx context.Context, f ff.Field[E], atilde matrix.BlackBox[E], h structured.Hankel[E], d, cp []E, scale E, b []E) ([]E, error) {
+	n := len(b)
+	acc := ff.VecZero(f, n)
+	v := b
+	for j := 0; j < n; j++ {
+		if j > 0 {
+			if err := ctxErr(ctx); err != nil {
+				return nil, err
+			}
+			v = atilde.Apply(f, v)
+		}
+		ff.VecMulAddInto(f, acc, cp[j+1], v)
+	}
+	ff.VecScaleInto(f, acc, scale, acc)
+	return undoPrecondition(f, h, d, acc), nil
+}
+
+// undoPrecondition maps the preconditioned solution x̃ back: x = H·(D·x̃).
+func undoPrecondition[E any](f ff.Field[E], h structured.Hankel[E], d []E, xt []E) []E {
+	dx := make([]E, len(xt))
+	for i := range dx {
+		dx[i] = f.Mul(d[i], xt[i])
+	}
+	return h.MulVec(f, dx)
+}
+
+// solveAttempt is one Solve attempt: Ã composed per apply, so the
+// precondition phase is pure wiring and the attempt makes no dense
+// product.
+func solveAttempt[E any](ctx context.Context, f ff.Field[E], a *matrix.Dense[E], b []E, rnd Randomness[E]) ([]E, error) {
+	sp := obs.StartPhaseCtx(ctx, obs.PhasePrecondition)
+	defer sp.End()
+	h := structured.NewHankel(rnd.H)
+	atilde := timedBox[E]{b: matrix.ComposedBox[E]{Boxes: []matrix.BlackBox[E]{
+		matrix.DenseBox[E]{M: a}, h, matrix.DiagBox[E]{D: rnd.D},
+	}}}
+	sp.End()
+	cp, err := charPolyBox(ctx, f, atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
+	if err != nil {
+		return nil, err
+	}
+	sp = obs.StartPhaseCtx(ctx, obs.PhaseBacksolve)
+	defer sp.End()
+	scale, err := f.Div(f.Neg(f.One()), cp[0])
+	if err != nil {
+		return nil, inPhase(obs.PhaseBacksolve, err)
+	}
+	return chBacksolve(ctx, f, atilde, h, rnd.D, cp, scale, b)
+}

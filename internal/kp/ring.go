@@ -53,7 +53,7 @@ var (
 
 // DefaultFactorCacheCap bounds the per-engine factorization cache: one
 // entry is a Factorization[uint64] for one (matrix, prime) pair — the
-// Krylov ladder and charpoly, O(n²) words — so repeated requests for the
+// formed Ã and its charpoly, O(n²) words — so repeated requests for the
 // same matrix (a kpd client iterating right-hand sides) skip the entire
 // Theorem 4 front end per residue.
 const DefaultFactorCacheCap = 256
@@ -623,7 +623,7 @@ func (e *IntEngine) solveResidue(ctx context.Context, a *rns.IntMat, digest stri
 	if err != nil {
 		return nil, 0, false, err
 	}
-	key := digest + "|" + strconv.FormatUint(prime, 10) + "|" + string(p.Precond)
+	key := digest + "|" + strconv.FormatUint(prime, 10)
 	fa := e.cacheGet(key)
 	if fa != nil {
 		hit = true

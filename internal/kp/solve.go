@@ -9,12 +9,14 @@
 // (XxxOnce) that runs over any ff.Field — including the circuit.Builder,
 // which turns it into the paper's algebraic circuit — and a Las Vegas
 // driver (Xxx) that draws randomness, verifies the result, and retries on
-// unlucky choices, realizing the 1 − 3n²/|S| success probability.
+// unlucky choices, realizing the 1 − 3n²/|S| success probability. The
+// Solve, Factor and SolveBatch drivers verify with Field.Equal, so they
+// only ever run over concrete fields; there they take the sequential
+// Berlekamp–Massey route on a black-box Ã (pipeline.go) and return the
+// same answers as the circuit route from the same randomness.
 package kp
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -81,41 +83,26 @@ func precondition[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dens
 // probability) characteristic polynomial λⁿ − c_{n−1}λ^{n−1} − … − c₀ of
 // Ã, low degree first.
 func charPolyOfPreconditioned[E any](f ff.Field[E], mul matrix.Multiplier[E], atilde *matrix.Dense[E], rnd Randomness[E]) ([]E, error) {
-	return charPolyCtx(nil, f, mul, atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly, nil)
-}
-
-// charPolyCtx is the context-aware core of charPolyOfPreconditioned, shared
-// with the batch engine: span names are injected so the batch route records
-// batch/krylov + batch/minpoly, and a non-nil pows cache captures the
-// Ã^{2^i} ladder of the doubling for reuse by the backsolves.
-func charPolyCtx[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplier[E], atilde *matrix.Dense[E], rnd Randomness[E], krylovPhase, minpolyPhase string, pows *[]*matrix.Dense[E]) ([]E, error) {
 	n := atilde.Rows
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
 	// Sequence a_i = u·Ãⁱ·v, i = 0..2n−1, via the doubling of (9). Spans
 	// close eagerly for tight timing and again via defer: the defer is the
 	// leak guard that keeps no span (and no stale Observer current pointer)
-	// open when an error, a cancellation or a panic exits early.
-	sp := obs.StartPhaseCtx(ctx, krylovPhase)
+	// open when an error or a panic exits early.
+	sp := obs.StartPhase(obs.PhaseKrylov)
 	defer sp.End()
-	v := &matrix.Dense[E]{Rows: n, Cols: 1, Data: append([]E(nil), rnd.V...)}
-	k := matrix.KrylovBlockDoubling(f, mul, atilde, v, 2*n, pows)
+	k := matrix.KrylovDoubling(f, mul, atilde, rnd.V, 2*n)
 	a := matrix.ProjectKrylov(f, rnd.U, k)
 	sp.End()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
 	// Lemma 1 system: T_n·(c_{n−1},…,c₀)ᵀ = (a_n,…,a_{2n−1})ᵀ, solved with
 	// the Toeplitz solver of §3 (Theorem 3 + Cayley–Hamilton).
-	sp = obs.StartPhaseCtx(ctx, minpolyPhase)
+	sp = obs.StartPhase(obs.PhaseMinPoly)
 	defer sp.End()
 	tm := structured.NewToeplitz(a[:2*n-1])
 	rhs := a[n : 2*n]
 	c, err := structured.SolveParallel(f, mul, tm, rhs)
 	sp.End()
 	if err != nil {
-		return nil, inPhase(minpolyPhase, err)
+		return nil, inPhase(obs.PhaseMinPoly, err)
 	}
 	// Assemble λⁿ − c_{n−1}λ^{n−1} − … − c₀ (c is ordered high to low).
 	cp := make([]E, n+1)
@@ -131,32 +118,27 @@ func charPolyCtx[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplie
 // it either divides by zero (over a concrete field: an error; over the
 // circuit builder: a division node that fails at evaluation) or returns a
 // wrong vector, which the Las Vegas driver detects by checking A·x = b.
+//
+// This is the paper's circuit: dense doubling and the Theorem 3 Toeplitz
+// solve at O((log n)²) depth. The Solve driver returns the same x from the
+// same randomness through the sequential black-box route (pipeline.go).
 func SolveOnce[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], b []E, rnd Randomness[E]) ([]E, error) {
-	return solveOnceCtx(nil, f, mul, a, b, rnd)
-}
-
-// solveOnceCtx is SolveOnce with cooperative cancellation checked between
-// the precondition/krylov/minpoly/backsolve phases.
-func solveOnceCtx[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], b []E, rnd Randomness[E]) ([]E, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
 		panic("kp: SolveOnce needs a square system")
 	}
-	sp := obs.StartPhaseCtx(ctx, obs.PhasePrecondition)
+	sp := obs.StartPhase(obs.PhasePrecondition)
 	defer sp.End()
 	atilde := precondition(f, mul, a, rnd)
 	sp.End()
-	cp, err := charPolyCtx(ctx, f, mul, atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly, nil)
+	cp, err := charPolyOfPreconditioned(f, mul, atilde, rnd)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	// Cayley–Hamilton: x̃ = −(1/pₙ)·Σ_{j=0}^{n−1} p_{n−1−j}·Ãʲ·b, with
 	// pₙ = cp[0] and p_{n−1−j} = cp[j+1]; the Krylov vectors Ãʲb come from
 	// one more doubling pass.
-	sp = obs.StartPhaseCtx(ctx, obs.PhaseBacksolve)
+	sp = obs.StartPhase(obs.PhaseBacksolve)
 	defer sp.End()
 	kb := matrix.KrylovDoubling(f, mul, atilde, b, n)
 	var acc []E
@@ -181,22 +163,17 @@ func solveOnceCtx[E any](ctx context.Context, f ff.Field[E], mul matrix.Multipli
 		return nil, inPhase(obs.PhaseBacksolve, err)
 	}
 	ff.VecScaleInto(f, acc, scale, acc)
-	xt := acc
-	// x = H·(D·x̃): undo the preconditioning.
-	dx := make([]E, n)
-	for i := range dx {
-		dx[i] = f.Mul(rnd.D[i], xt[i])
-	}
-	h := structured.NewHankel(rnd.H)
-	return h.MulVec(f, dx), nil
+	return undoPrecondition(f, structured.NewHankel(rnd.H), rnd.D, acc), nil
 }
 
 // Solve is the Las Vegas Theorem 4 driver: it draws fresh randomness,
-// attempts SolveOnce, verifies A·x = b, and retries on failure. A returned
-// solution is always correct; ErrRetriesExhausted after Params.Retries
-// attempts indicates a singular matrix except with negligible probability.
-// Requires characteristic 0 or > n (Theorem 4's hypothesis). The zero
-// Params is a valid default configuration.
+// runs one attempt of the black-box pipeline (pipeline.go), verifies
+// A·x = b, and retries on failure. A returned solution is always correct;
+// ErrRetriesExhausted after Params.Retries attempts indicates a singular
+// matrix except with negligible probability. Requires characteristic 0 or
+// > n (Theorem 4's hypothesis). The zero Params is a valid default
+// configuration. mul is unused: the one-shot route applies A·H·D as a
+// composed black box and forms no dense product.
 func Solve[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], b []E, p Params) ([]E, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
@@ -212,15 +189,9 @@ func Solve[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], b
 		}
 		rnd := DrawRandomness(f, p.Src, n, p.Subset)
 		start := time.Now()
-		var x []E
-		var err error
-		if p.Precond == PrecondImplicit {
-			x, err = solveOnceImplicitCtx(p.Ctx, f, a, b, rnd)
-		} else {
-			x, err = solveOnceCtx(p.Ctx, f, mul, a, b, rnd)
-		}
+		x, err := solveAttempt(p.Ctx, f, a, b, rnd)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCancel(err) {
 				rec.finish(err)
 				return nil, err
 			}

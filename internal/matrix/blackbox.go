@@ -104,10 +104,24 @@ func KrylovDoubling[E any](f ff.Field[E], mul Multiplier[E], a *Dense[E], b []E,
 	if len(b) != n {
 		panic("matrix: KrylovDoubling dimension mismatch")
 	}
-	// The single-vector case of the block doubling: K starts as the one
-	// column b and each round appends A^{2^i}·K.
-	col := &Dense[E]{Rows: n, Cols: 1, Data: append([]E(nil), b...)}
-	return KrylovBlockDoubling(f, mul, a, col, m, nil)
+	if m <= 0 {
+		return &Dense[E]{Rows: n, Cols: 0}
+	}
+	// K starts as the one column b; round i appends A^{2^i}·K, and the
+	// power is squared only when another round is coming (no trailing
+	// unused squaring).
+	k := &Dense[E]{Rows: n, Cols: 1, Data: append([]E(nil), b...)}
+	p := a
+	for k.Cols < m {
+		k = hcat(f, k, mul.Mul(f, p, k))
+		if k.Cols < m {
+			p = mul.Mul(f, p, p)
+		}
+	}
+	if k.Cols > m {
+		k = k.Submatrix(0, n, 0, m)
+	}
+	return k
 }
 
 // hcat concatenates the column batches [a | b] of a doubling round. The

@@ -135,8 +135,8 @@ type SpanRecord struct {
 	FieldOps uint64        `json:"field_ops"` // field operations folded in via AddFieldOps
 	MulCalls uint64        `json:"mul_calls"` // multiplier invocations folded in
 	// ApplyNs/ApplyCalls account the black-box matrix-vector products folded
-	// in via AddApplyTime — the implicit-preconditioning pipeline's unit of
-	// work, where MulCalls (dense matrix-matrix products) stays zero.
+	// in via AddApplyTime — the black-box Las Vegas pipeline's unit of work,
+	// where MulCalls (dense matrix-matrix products) stays zero.
 	ApplyNs    int64   `json:"apply_ns,omitempty"`
 	ApplyCalls uint64  `json:"apply_calls,omitempty"`
 	Trace      TraceID `json:"trace"` // owning request's trace id (zero for unscoped spans)
@@ -272,8 +272,8 @@ func (s *Span) AddApplyTime(d time.Duration, calls uint64) {
 }
 
 // AddApplyTime attributes black-box apply time to the innermost open span
-// of the active Observer — the hook the kp implicit-preconditioning boxes
-// report through, giving kpbench its apply_ns column.
+// of the active Observer — the hook the kp black-box Ã operators report
+// through, giving kpbench its apply_ns column.
 func AddApplyTime(d time.Duration, calls uint64) {
 	o := active.Load()
 	if o == nil {

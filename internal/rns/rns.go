@@ -89,8 +89,8 @@ type Params struct {
 	PrimeBits int
 	// Log2n is the guaranteed two-adicity of the generated primes
 	// (0 = 2^20); every residue field supports NTT sizes up to 2^Log2n, so
-	// the implicit Hankel-preconditioner fast path is available per
-	// residue.
+	// the cached-NTT Hankel applies of the preconditioner are available
+	// per residue.
 	Log2n int
 }
 

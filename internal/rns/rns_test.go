@@ -101,7 +101,7 @@ func TestRatVecNormalize(t *testing.T) {
 	}
 }
 
-// TestParseVerifyMode matches the PrecondMode parsing idiom: "" is the
+// TestParseVerifyMode pins the mode parsing idiom: "" is the
 // safe default, junk fails loudly.
 func TestParseVerifyMode(t *testing.T) {
 	if m, err := ParseVerifyMode(""); err != nil || m != VerifyOn {

@@ -99,13 +99,6 @@ type Config struct {
 	// MaxDim rejects systems larger than MaxDim×MaxDim with 400 before any
 	// work happens (default 2048).
 	MaxDim int
-	// PrecondMode selects the default preconditioner route for requests
-	// that do not ask for one: "dense" (materialized Ã = A·H·D, the
-	// default) or "implicit" (black-box composition, no dense products
-	// before the verify). Each request may override it via the "precond"
-	// field; the factorization cache keys entries by digest AND mode, so
-	// the two routes never alias each other's cached factorizations.
-	PrecondMode string
 	// Logger, when non-nil, receives one record per request (route, n,
 	// cache, status, wall) and is forwarded to the solvers' per-attempt
 	// logging.
@@ -120,10 +113,8 @@ type Server struct {
 	srcMu sync.Mutex
 	src   *ff.Source
 
-	precond kp.PrecondMode // default preconditioner mode (validated in New)
-
 	solverMu sync.Mutex
-	solvers  map[solverKey]*core.Solver[uint64] // one per (modulus, precond mode)
+	solvers  map[uint64]*core.Solver[uint64] // one per modulus
 
 	sem    chan struct{} // execution slots (MaxConcurrent)
 	queued atomic.Int64
@@ -164,28 +155,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxDim <= 0 {
 		cfg.MaxDim = 2048
 	}
-	precond, err := kp.ParsePrecondMode(cfg.PrecondMode)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
 	intMul, _ := matrix.ByName[uint64](cfg.Multiplier) // validated above
 	return &Server{
 		cfg:     cfg,
-		precond: precond,
 		cache:   NewCache[uint64](cfg.CacheSize),
 		src:     ff.NewSource(cfg.Seed),
-		solvers: make(map[solverKey]*core.Solver[uint64]),
+		solvers: make(map[uint64]*core.Solver[uint64]),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		intEng:  kp.NewIntEngine(intMul),
 	}, nil
-}
-
-// solverKey identifies one configured solver: requests in different fields
-// or different preconditioner modes must not share a core.Solver, because
-// the mode is baked into the solver's kp.Params.
-type solverKey struct {
-	modulus uint64
-	precond kp.PrecondMode
 }
 
 // Handler returns the service mux: the /v1 solve endpoints plus the obs
@@ -219,11 +197,6 @@ type SolveRequest struct {
 	// DeadlineMS bounds this request's wall time; 0 or anything above the
 	// server's MaxDeadline is clamped to MaxDeadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Precond overrides the server's default preconditioner mode for this
-	// request: "dense" or "implicit" ("" = server default). Factorizations
-	// are cached per (matrix, mode), so switching modes on a repeat matrix
-	// is a cache miss, not a wrong answer.
-	Precond string `json:"precond,omitempty"`
 	// Ring selects the coefficient ring: "fp" (default; word prime field
 	// P), "zz" (integers) or "qq" (rationals). zz/qq are /v1/solve only and
 	// take the system in Az/Bz instead of A/B.
@@ -247,11 +220,13 @@ type SolveResponse struct {
 	Xs [][]uint64 `json:"xs,omitempty"`
 	// N is the system dimension.
 	N int `json:"n"`
-	// Digest is the canonical matrix digest. The factorization cache key
-	// is this digest qualified by the preconditioner mode.
+	// Digest is the canonical matrix digest, the factorization cache key.
 	Digest string `json:"digest"`
-	// Precond is the preconditioner mode this request ran under.
-	Precond string `json:"precond"`
+	// Precond is never set.
+	//
+	// Deprecated: the server has one preconditioner route; the request
+	// field that selected between two is gone.
+	Precond string `json:"precond,omitempty"`
 	// Cache is "hit" when the factorization came from the cache, "miss"
 	// when this request computed it.
 	Cache string `json:"cache"`
@@ -387,19 +362,10 @@ func (s *Server) serve(r *http.Request, route string) (int, *SolveResponse, erro
 		return http.StatusBadRequest, nil, fmt.Errorf("decode request: %w", err)
 	}
 
-	// Preconditioner mode: per-request override, else the server default.
-	var err error
-	precond := s.precond
-	if req.Precond != "" {
-		if precond, err = kp.ParsePrecondMode(req.Precond); err != nil {
-			return http.StatusBadRequest, nil, err
-		}
-	}
-
 	switch req.Ring {
 	case "", "fp":
 	case "zz", "qq":
-		return s.serveRing(r, route, &req, precond)
+		return s.serveRing(r, route, &req)
 	default:
 		return http.StatusBadRequest, nil, fmt.Errorf("unknown ring %q (want \"fp\", \"zz\" or \"qq\")", req.Ring)
 	}
@@ -433,15 +399,10 @@ func (s *Server) serve(r *http.Request, route string) (int, *SolveResponse, erro
 	}
 
 	// Factorization via the digest-keyed cache: repeat matrices skip the
-	// Krylov phase and go straight to the backsolve. The key qualifies the
-	// matrix digest with the preconditioner mode — a dense-preconditioned
-	// Factored and an implicit one for the same matrix hold different
-	// internal state (materialized Ã vs black-box composition) and must
-	// never collide.
+	// Krylov phase and go straight to the backsolve.
 	digest := matrix.DigestString[uint64](f, a)
-	cacheKey := digest + "|precond=" + string(precond)
-	fa, hit, err := s.cache.GetOrFactor(ctx, cacheKey, func() (*core.Factored[uint64], error) {
-		solver, err := s.solverFor(f, precond)
+	fa, hit, err := s.cache.GetOrFactor(ctx, digest, func() (*core.Factored[uint64], error) {
+		solver, err := s.solverFor(f)
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +420,7 @@ func (s *Server) serve(r *http.Request, route string) (int, *SolveResponse, erro
 	if err != nil {
 		return errStatus(err), nil, err
 	}
-	resp := &SolveResponse{N: n, Digest: digest, Precond: string(precond), Cache: cacheLabel(hit)}
+	resp := &SolveResponse{N: n, Digest: digest, Cache: cacheLabel(hit)}
 
 	switch route {
 	case "factor":
@@ -496,7 +457,7 @@ func (s *Server) serve(r *http.Request, route string) (int, *SolveResponse, erro
 // serveRing executes a ring=zz/qq request: exact solve over ℤ/ℚ through
 // the multi-modulus engine, under the same admission control and deadline
 // regime as the field routes. Only /v1/solve supports exact rings.
-func (s *Server) serveRing(r *http.Request, route string, req *SolveRequest, precond kp.PrecondMode) (int, *SolveResponse, error) {
+func (s *Server) serveRing(r *http.Request, route string, req *SolveRequest) (int, *SolveResponse, error) {
 	if route != "solve" {
 		return http.StatusBadRequest, nil, fmt.Errorf("ring %q is supported on /v1/solve only, not /v1/%s: %w", req.Ring, route, kp.ErrBadShape)
 	}
@@ -534,7 +495,7 @@ func (s *Server) serveRing(r *http.Request, route string, req *SolveRequest, pre
 	}
 
 	rp := rns.Params{Verify: verify, Workers: s.cfg.MaxConcurrent}
-	kpp := kp.Params{Src: s.splitSource(), Retries: s.cfg.Retries, Ctx: ctx, Logger: s.cfg.Logger, Precond: precond}
+	kpp := kp.Params{Src: s.splitSource(), Retries: s.cfg.Retries, Ctx: ctx, Logger: s.cfg.Logger}
 	var (
 		x     *rns.RatVec
 		stats *kp.RingStats
@@ -545,7 +506,7 @@ func (s *Server) serveRing(r *http.Request, route string, req *SolveRequest, pre
 		if berr != nil {
 			return http.StatusBadRequest, nil, berr
 		}
-		resp := &SolveResponse{N: n, Ring: req.Ring, Precond: string(precond), Digest: a.Digest()}
+		resp := &SolveResponse{N: n, Ring: req.Ring, Digest: a.Digest()}
 		x, stats, err = s.intEng.Solve(ctx, a, b, rp, kpp)
 		if err != nil {
 			return errStatus(err), nil, err
@@ -560,7 +521,7 @@ func (s *Server) serveRing(r *http.Request, route string, req *SolveRequest, pre
 		if cerr != nil {
 			return http.StatusBadRequest, nil, cerr
 		}
-		resp := &SolveResponse{N: n, Ring: req.Ring, Precond: string(precond), Digest: ai.Digest()}
+		resp := &SolveResponse{N: n, Ring: req.Ring, Digest: ai.Digest()}
 		x, stats, err = s.intEng.Solve(ctx, ai, bi, rp, kpp)
 		if err != nil {
 			return errStatus(err), nil, err
@@ -726,21 +687,19 @@ func (s *Server) acquire(ctx context.Context) (func(), int, error) {
 	}, 0, nil
 }
 
-// solverFor returns (creating on first use) the solver for f's modulus and
-// the given preconditioner mode.
-func (s *Server) solverFor(f ff.Fp64, precond kp.PrecondMode) (*core.Solver[uint64], error) {
-	key := solverKey{modulus: f.Modulus(), precond: precond}
+// solverFor returns (creating on first use) the solver for f's modulus.
+func (s *Server) solverFor(f ff.Fp64) (*core.Solver[uint64], error) {
+	key := f.Modulus()
 	s.solverMu.Lock()
 	defer s.solverMu.Unlock()
 	if sv, ok := s.solvers[key]; ok {
 		return sv, nil
 	}
 	sv, err := core.NewSolver[uint64](f, core.Options{
-		Seed:        s.cfg.Seed,
-		Multiplier:  s.cfg.Multiplier,
-		Retries:     s.cfg.Retries,
-		PrecondMode: string(precond),
-		Logger:      s.cfg.Logger,
+		Seed:       s.cfg.Seed,
+		Multiplier: s.cfg.Multiplier,
+		Retries:    s.cfg.Retries,
+		Logger:     s.cfg.Logger,
 	})
 	if err != nil {
 		return nil, err

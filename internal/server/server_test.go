@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -420,101 +422,41 @@ func contains(haystack, needle string) bool {
 	return false
 }
 
-// TestPrecondModeCacheKeying is the no-collision check for the PR's cache
-// contract: dense- and implicit-preconditioned factorizations of the SAME
-// matrix are distinct cache entries — the second mode misses instead of
-// picking up the first mode's Factored — while repeats within a mode hit.
+// TestPrecondModeCacheKeying pins the cache key to the matrix digest alone:
+// the server has one preconditioner route, so a repeat matrix hits one
+// entry, the response carries no precond label, and a body still naming the
+// removed "precond" field is the strict decoder's 400 naming it.
 func TestPrecondModeCacheKeying(t *testing.T) {
-	s := newTestServer(t, nil) // server default: dense
+	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := &Client{BaseURL: ts.URL}
 
-	// NTT-friendly field, so the implicit route runs its cached transforms.
-	f := ff.MustFp64(ff.PNTT62)
-	src := ff.NewSource(17)
-	n := 12
-	a := matrix.Random[uint64](f, src, n, n, f.Modulus())
-	req := SolveRequest{P: ff.PNTT62, A: make([][]uint64, n)}
-	for i := 0; i < n; i++ {
-		req.A[i] = a.Row(i)
-	}
-	req.B = ff.SampleVec[uint64](f, src, n, f.Modulus())
-
-	req.Precond = "implicit"
-	resp, err := client.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cache != "miss" || resp.Precond != "implicit" {
-		t.Fatalf("implicit solve: cache=%q precond=%q, want miss/implicit", resp.Cache, resp.Precond)
-	}
-	if !ff.VecEqual[uint64](f, a.MulVec(f, resp.X), req.B) {
-		t.Fatal("implicit solve: A·x ≠ b")
-	}
-
-	// Same matrix, dense mode: must NOT alias the implicit entry.
-	req.Precond = "dense"
-	resp2, err := client.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Cache != "miss" || resp2.Precond != "dense" {
-		t.Fatalf("dense solve of cached-implicit matrix: cache=%q precond=%q, want miss/dense", resp2.Cache, resp2.Precond)
-	}
-	if !ff.VecEqual[uint64](f, a.MulVec(f, resp2.X), req.B) {
-		t.Fatal("dense solve: A·x ≠ b")
-	}
-	if resp.Digest != resp2.Digest {
-		t.Fatal("modes disagree on the canonical matrix digest")
-	}
-	if got := s.cache.Len(); got != 2 {
-		t.Fatalf("cache holds %d entries for one matrix in two modes, want 2", got)
-	}
-
-	// Repeats within each mode hit their own entry.
-	for _, mode := range []string{"implicit", "dense", ""} {
-		req.Precond = mode
+	f, a, req := testSystem(t, 17, 12)
+	for i, want := range []string{"miss", "hit"} {
 		resp, err := client.Solve(context.Background(), req)
 		if err != nil {
-			t.Fatalf("mode %q repeat: %v", mode, err)
+			t.Fatal(err)
 		}
-		if resp.Cache != "hit" {
-			t.Fatalf("mode %q repeat: cache=%q, want hit", mode, resp.Cache)
+		if resp.Cache != want || resp.Precond != "" {
+			t.Fatalf("solve %d: cache=%q precond=%q, want %s and no precond", i, resp.Cache, resp.Precond, want)
+		}
+		if resp.Digest != matrix.DigestString[uint64](f, a) {
+			t.Fatalf("solve %d: digest %q is not the matrix digest", i, resp.Digest)
+		}
+		if !ff.VecEqual[uint64](f, a.MulVec(f, resp.X), req.B) {
+			t.Fatalf("solve %d: A·x ≠ b", i)
 		}
 	}
-
-	// An unknown mode is a 400, before any math runs.
-	req.Precond = "sideways"
-	if _, err := client.Solve(context.Background(), req); err == nil {
-		t.Fatal("unknown precond mode accepted")
-	} else if apiErr, ok := err.(*APIError); !ok || apiErr.Status != 400 {
-		t.Fatalf("unknown precond mode: got %v, want 400", err)
-	}
-}
-
-// TestServerDefaultPrecondImplicit: a server configured with
-// PrecondMode "implicit" applies it to requests that don't choose, and a
-// bogus configured mode fails construction.
-func TestServerDefaultPrecondImplicit(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.PrecondMode = "implicit" })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := &Client{BaseURL: ts.URL}
-
-	f, a, req := testSystem(t, 23, 10)
-	resp, err := client.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Precond != "implicit" {
-		t.Fatalf("default-mode solve ran precond=%q, want implicit", resp.Precond)
-	}
-	if !ff.VecEqual[uint64](f, a.MulVec(f, resp.X), req.B) {
-		t.Fatal("A·x ≠ b under the implicit server default")
+	if got := s.cache.Len(); got != 1 {
+		t.Fatalf("cache holds %d entries for one matrix, want 1", got)
 	}
 
-	if _, err := New(Config{PrecondMode: "upside-down"}); err == nil {
-		t.Fatal("New accepted an unknown PrecondMode")
+	code, m := postJSON(t, s.Handler(), "/v1/solve", `{"p":4611686018427387847,"a":[[2]],"b":[4],"precond":"implicit"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("precond body: status %d, body %v", code, m)
+	}
+	if msg, _ := m["error"].(string); !strings.Contains(msg, "precond") {
+		t.Fatalf("error %q does not name the removed precond field", msg)
 	}
 }

@@ -33,6 +33,23 @@ func SignalContext(parent context.Context) (context.Context, context.CancelFunc)
 	return ctx, stop
 }
 
+// Connection limits of ServeUntil. They bound what a client can hold
+// without sending a complete request, so slowloris clients that trickle
+// header bytes, or park idle keep-alive connections, cannot exhaust the
+// server's connections. Request bodies are bounded separately by the
+// handlers' size limits and per-request deadlines.
+const (
+	// defaultReadHeaderTimeout is how long a client may take to send its
+	// request headers.
+	defaultReadHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection with no request in
+	// flight.
+	idleTimeout = 2 * time.Minute
+)
+
+// readHeaderTimeout is defaultReadHeaderTimeout; tests shorten it.
+var readHeaderTimeout = defaultReadHeaderTimeout
+
 // ServeUntil serves h on ln until ctx is canceled, then gracefully drains:
 // the listener closes immediately (new connections are refused) while
 // in-flight requests get up to grace to finish. It returns nil after a
@@ -40,7 +57,7 @@ func SignalContext(parent context.Context) (context.Context, context.CancelFunc)
 // running (they are then hard-closed), or the serve error if the listener
 // failed before ctx was done.
 func ServeUntil(ctx context.Context, ln net.Listener, h http.Handler, grace time.Duration) error {
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
