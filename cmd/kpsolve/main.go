@@ -467,7 +467,7 @@ func writeTrace(o *obs.Observer, stats *matrix.MulStats, path string) error {
 	totals := o.PhaseTotals()
 	for _, name := range o.PhaseNames() {
 		t := totals[name]
-		fmt.Printf("  %-13s %3d span(s)  wall %-14s field-ops %d\n", name, t.Count, t.Wall, t.FieldOps)
+		fmt.Printf("  %-13s %3d span(s)  wall %-14s field-ops %d  steps %d\n", name, t.Count, t.Wall, t.FieldOps, t.Steps)
 	}
 	if dropped := o.Dropped(); dropped > 0 {
 		fmt.Printf("  (%d spans dropped: ring wrapped)\n", dropped)

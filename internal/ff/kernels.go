@@ -97,15 +97,6 @@ func DotFused[E any](f Field[E], a, b []E) E {
 
 // --- Fp64 implementation -------------------------------------------------
 
-// dotLazyChunk is the lazy-reduction window of the Fp64 dot kernel: for
-// p < 2⁶² each product is < 2¹²⁴, so a 128-bit accumulator absorbs up to
-// 2¹²⁸⁻¹²⁴ = 16 products before it can overflow; the kernel reduces once
-// per window instead of once per element.
-const dotLazyChunk = 16
-
-// lazyDotMax is the exclusive modulus bound for the lazy window above.
-const lazyDotMax = uint64(1) << 62
-
 // MulAddVec sets dst[i] += s·a[i]. The scalar is converted to Montgomery
 // form once, so each element costs a single wide multiply plus one REDC —
 // no divisions anywhere in the loop.
@@ -171,12 +162,12 @@ func (f Fp64) SubInto(dst []uint64, a []uint64) {
 	}
 }
 
-// DotInto returns ⟨a, b⟩. For p < 2⁶² it accumulates raw 128-bit products
-// and reduces once per dotLazyChunk window (the reduction itself is one
-// word division amortized over the window plus one REDC); the partial sums
-// carry an R⁻¹ factor that a single final Montgomery fixup removes. Odd
-// p ≥ 2⁶² reduces per element with REDC, still division-free; F_2 runs the
-// generic loop.
+// DotInto returns ⟨a, b⟩ with one reduction per dot and no division. For
+// odd p < 2⁶³ every product is below 2¹²⁶, so raw 128-bit products sum
+// exactly into 192-bit accumulators (the top word counts carries out of
+// 2¹²⁸). Two independent lanes take the even and odd terms, so their carry
+// chains overlap. The lanes are merged and the 192-bit total reduced by
+// REDC at the end; F_2 runs the generic loop.
 func (f Fp64) DotInto(a, b []uint64) uint64 {
 	mustSameLen(len(a), len(b))
 	if f.pInv == 0 {
@@ -186,36 +177,34 @@ func (f Fp64) DotInto(a, b []uint64) uint64 {
 		}
 		return d
 	}
-	p := f.p
-	var acc uint64 // Σ x_c·R⁻¹ mod p over the windows
-	if f.p < lazyDotMax {
-		for len(a) > 0 {
-			n := min(len(a), dotLazyChunk)
-			var hi, lo, c uint64
-			for j := 0; j < n; j++ {
-				ph, pl := bits.Mul64(a[j], b[j])
-				lo, c = bits.Add64(lo, pl, 0)
-				hi += ph + c
-			}
-			// hi is arbitrary (< 2⁶⁴): fold it into [0, p) first so the
-			// REDC quotient stays in range, then reduce the window.
-			t := f.redc(hi%p, lo)
-			acc += t
-			if acc >= p {
-				acc -= p
-			}
-			a, b = a[n:], b[n:]
-		}
-	} else {
-		for i := range a {
-			acc += f.mulRedc(a[i], b[i])
-			if acc >= p {
-				acc -= p
-			}
-		}
+	var lo0, hi0, top0, lo1, hi1, top1, c uint64
+	b = b[:len(a)]
+	for i := 1; i < len(a); i += 2 {
+		ph, pl := bits.Mul64(a[i-1], b[i-1])
+		lo0, c = bits.Add64(lo0, pl, 0)
+		hi0, c = bits.Add64(hi0, ph, c)
+		top0 += c
+		ph, pl = bits.Mul64(a[i], b[i])
+		lo1, c = bits.Add64(lo1, pl, 0)
+		hi1, c = bits.Add64(hi1, ph, c)
+		top1 += c
 	}
-	// acc ≡ ⟨a,b⟩·R⁻¹; one multiplication by R² (with its own R⁻¹) fixes it.
-	return f.mulRedc(acc, f.r2)
+	if len(a)%2 == 1 {
+		ph, pl := bits.Mul64(a[len(a)-1], b[len(a)-1])
+		lo0, c = bits.Add64(lo0, pl, 0)
+		hi0, c = bits.Add64(hi0, ph, c)
+		top0 += c
+	}
+	lo, c := bits.Add64(lo0, lo1, 0)
+	hi, c := bits.Add64(hi0, hi1, c)
+	top := top0 + top1 + c
+	// The total V = top·2¹²⁸ + hi·2⁶⁴ + lo is < len·p², and len·p < 2¹²⁶,
+	// so top < p. REDC takes (top, hi) to (top·2⁶⁴ + hi)·R⁻¹, a
+	// multiplication by R² turns that into the high word (top·2⁶⁴ + hi)
+	// mod p, a second REDC gives V·R⁻¹ and a last multiplication by R²
+	// gives V mod p.
+	h := f.mulRedc(f.redc(top, hi), f.r2)
+	return f.mulRedc(f.redc(h, lo), f.r2)
 }
 
 var _ Kernels[uint64] = Fp64{}

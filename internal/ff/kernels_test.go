@@ -1,21 +1,23 @@
 package ff
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/big"
 	"testing"
 )
 
 // kernelFields is the set of word primes the differential checks sweep:
-// the three documented test primes, the NTT prime, a 63-bit prime above
-// the lazy-reduction bound (exercising the per-element REDC path), and
-// F_2 (the generic fallback inside the kernel methods).
+// the three documented test primes, the NTT prime, the largest prime below
+// 2⁶³ (the widest modulus Fp64 accepts), and F_2 (the generic fallback
+// inside the kernel methods).
 func kernelFields() []Fp64 {
 	return []Fp64{
 		MustFp64(P62),
 		MustFp64(P31),
 		MustFp64(P17),
 		MustFp64(PNTT62),
-		MustFp64(9223372036854775783), // 2⁶³ − 25, ≥ 2⁶² lazy bound
+		MustFp64(P63Max),
 		MustFp64(2),
 	}
 }
@@ -200,6 +202,76 @@ func TestMontgomeryRoundTrip(t *testing.T) {
 	}
 }
 
+// P63Max is the largest prime below 2⁶³ (2⁶³ − 25); P62 is the largest
+// below 2⁶².
+const P63Max uint64 = 9223372036854775783
+
+// dotFields are the odd moduli the DotInto reference checks sweep: the NTT
+// prime, the largest primes below 2⁶² and 2⁶³, and two small primes whose
+// products never reach the accumulator's middle word.
+func dotFields() []Fp64 {
+	return []Fp64{MustFp64(PNTT62), MustFp64(P62), MustFp64(P31), MustFp64(P17), MustFp64(P63Max)}
+}
+
+// bigDot is the math/big reference for DotInto.
+func bigDot(p uint64, a, b []uint64) uint64 {
+	sum, t := new(big.Int), new(big.Int)
+	for i := range a {
+		t.SetUint64(a[i])
+		sum.Add(sum, t.Mul(t, new(big.Int).SetUint64(b[i])))
+	}
+	return sum.Mod(sum, new(big.Int).SetUint64(p)).Uint64()
+}
+
+// TestDotIntoMatchesBig checks DotInto against exact big-integer sums for
+// every length 0–70 and one long vector, on random vectors and on vectors
+// of all p−1, whose sums carry out of 2¹²⁸ soonest.
+func TestDotIntoMatchesBig(t *testing.T) {
+	lengths := make([]int, 0, 72)
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 4099)
+	for _, f := range dotFields() {
+		for _, n := range lengths {
+			top := make([]uint64, n)
+			for i := range top {
+				top[i] = f.p - 1
+			}
+			cases := [][2][]uint64{
+				{kvec(f, uint64(n)+11, n), kvec(f, uint64(n)+12, n)},
+				{top, top},
+				{top, kvec(f, uint64(n)+13, n)},
+			}
+			for c, ab := range cases {
+				if got, want := f.DotInto(ab[0], ab[1]), bigDot(f.p, ab[0], ab[1]); got != want {
+					t.Fatalf("F_%d n=%d case %d: DotInto=%d want %d", f.p, n, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDotInto fuzzes DotInto against the math/big reference: the input
+// bytes become two vectors, reduced into the selected field.
+func FuzzDotInto(fz *testing.F) {
+	fz.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(0))
+	fz.Add(bytes.Repeat([]byte{0xff}, 16*33), uint8(4))
+	fields := dotFields()
+	fz.Fuzz(func(t *testing.T, data []byte, sel uint8) {
+		f := fields[int(sel)%len(fields)]
+		n := len(data) / 16
+		a, b := make([]uint64, n), make([]uint64, n)
+		for i := range a {
+			a[i] = binary.LittleEndian.Uint64(data[16*i:]) % f.p
+			b[i] = binary.LittleEndian.Uint64(data[16*i+8:]) % f.p
+		}
+		if got, want := f.DotInto(a, b), bigDot(f.p, a, b); got != want {
+			t.Fatalf("F_%d n=%d: DotInto=%d want %d", f.p, n, got, want)
+		}
+	})
+}
+
 // FuzzMontgomery fuzzes the Montgomery round trip and REDC multiply against
 // the big.Int reference across P62, P31 and P17.
 func FuzzMontgomery(fz *testing.F) {
@@ -230,4 +302,16 @@ func FuzzMontgomery(fz *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkDotInto times the fused dot at the solver's dimension on the
+// NTT prime.
+func BenchmarkDotInto(b *testing.B) {
+	f := MustFp64(PNTT62)
+	x, y := kvec(f, 1, 256), kvec(f, 2, 256)
+	var sink uint64
+	for b.Loop() {
+		sink = f.DotInto(x, y)
+	}
+	_ = sink
 }

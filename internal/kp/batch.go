@@ -17,9 +17,11 @@ import (
 // randomness), never on the right-hand side. The engine therefore runs that
 // front end once and amortizes it across k right-hand sides: the per-RHS
 // tail is one Cayley–Hamilton backsolve of n−1 applies plus the A·x = b
-// verification. Because the front end is reused, it forms Ã once with the
-// multiplier (one n×n product) and applies it as a dense box, which is
-// cheaper per apply than the composed A·H·D that one-shot Solve uses.
+// verification. The engine forms Ã once with the multiplier (one n×n
+// product) and applies it as a dense box. One-shot Solve forms the same Ã
+// from Hankel row products instead (formAtilde), which beats the product
+// on an NTT field; on a prime without 2-power roots the rows fall back to
+// schoolbook and the product is cheaper.
 //
 // The same split yields the reusable handle: Factor captures the certified
 // front end in a Factorization whose Solve/InverseApply replay only the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"log/slog"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ff"
@@ -65,6 +66,62 @@ func TestSolveCancellationLeavesNoOpenSpan(t *testing.T) {
 	}
 	if totals[obs.PhaseMinPoly].Count != 0 {
 		t.Fatal("minpoly ran after the cancellation")
+	}
+}
+
+// errHookCtx cancels itself on its cancelAt-th Err call. Solve's formation
+// checks Err once per chunk of rows (the apply loops use Done, which
+// consults Err only once the context is done), so the cancellation lands
+// mid-formation.
+type errHookCtx struct {
+	context.Context
+	cancel   context.CancelFunc
+	cancelAt int64
+	calls    atomic.Int64
+}
+
+func (c *errHookCtx) Err() error {
+	if c.calls.Add(1) == c.cancelAt {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestSolveCancelDuringFormation cancels while Solve forms Ã: the attempt
+// must return context.Canceled from the precondition phase, with no Krylov
+// span, no row products reported, and at most one check per chunk.
+func TestSolveCancelDuringFormation(t *testing.T) {
+	src := ff.NewSource(317)
+	n := 64
+	f, a := randomNonsingularP62(src, n)
+	b := ff.SampleVec[uint64](f, src, n, f.Modulus())
+
+	o := obs.New(0)
+	prev := obs.Active()
+	obs.SetActive(o)
+	defer obs.SetActive(prev)
+
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &errHookCtx{Context: parent, cancel: cancel, cancelAt: 2}
+	_, err := Solve[uint64](f, matrix.Classical[uint64]{}, a, b, Params{Src: ff.NewSource(5), Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if open := o.OpenSpanName(); open != "" {
+		t.Fatalf("span %q left open after cancellation", open)
+	}
+	totals := o.PhaseTotals()
+	if pre := totals[obs.PhasePrecondition]; pre.Count != 1 || pre.Steps != 0 {
+		t.Fatalf("precondition: %d span(s), %d row products reported; want 1 span and none", pre.Count, pre.Steps)
+	}
+	if totals[obs.PhaseKrylov].Count != 0 {
+		t.Fatal("krylov ran after the cancellation")
+	}
+	// One Err per 16-row formation chunk plus the driver's own read once
+	// the context is done.
+	if got, chunks := ctx.calls.Load(), int64((n+15)/16); got > chunks+1 {
+		t.Fatalf("%d context checks, want at most one per chunk (%d) plus one", got, chunks)
 	}
 }
 

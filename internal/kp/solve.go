@@ -172,8 +172,8 @@ func SolveOnce[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E
 // ErrRetriesExhausted after Params.Retries attempts indicates a singular
 // matrix except with negligible probability. Requires characteristic 0 or
 // > n (Theorem 4's hypothesis). The zero Params is a valid default
-// configuration. mul is unused: the one-shot route applies A·H·D as a
-// composed black box and forms no dense product.
+// configuration. mul is unused: the one-shot route forms Ã = A·H·D from n
+// Hankel row products and makes no dense product.
 func Solve[E any](f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], b []E, p Params) ([]E, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {

@@ -32,7 +32,7 @@ func (b SparseBox[E]) Apply(f ff.Field[E], x []E) []E { return b.M.Apply(f, x) }
 
 // DiagBox is a diagonal matrix as a black box: Apply costs n scalar
 // multiplications. It is the D factor of the Kaltofen–Pan preconditioner
-// Ã = A·H·D in the implicit (never materialized) route.
+// Ã = A·H·D when that product is composed per apply instead of formed.
 type DiagBox[E any] struct{ D []E }
 
 // Dims returns the (square) shape.

@@ -9,7 +9,9 @@
 package matrix
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ff"
 )
@@ -157,6 +159,44 @@ func ScaleColumnsDiag[E any](f ff.Field[E], m *Dense[E], d []E) *Dense[E] {
 		body(0, m.Rows)
 	}
 	return out
+}
+
+// formRowsGrain is FormRows' chunk: the unit of pool work and of the
+// cancellation check.
+const formRowsGrain = 16
+
+// FormRows returns the rows×cols matrix whose row i is written in place by
+// fill(i, row). Over a concurrency-safe field the chunks of formRowsGrain
+// rows run on the shared worker pool as one job; otherwise in order on the
+// caller. ctx (nil means never cancelled) is checked before every chunk:
+// once it is done the remaining chunks are skipped, and FormRows returns
+// ctx.Err() after the chunks already running have finished.
+func FormRows[E any](ctx context.Context, f ff.Field[E], rows, cols int, fill func(i int, row []E)) (*Dense[E], error) {
+	m := &Dense[E]{Rows: rows, Cols: cols, Data: make([]E, rows*cols)}
+	var cancelled atomic.Bool
+	body := func(lo, hi int) {
+		if cancelled.Load() {
+			return
+		}
+		if ctx != nil && ctx.Err() != nil {
+			cancelled.Store(true)
+			return
+		}
+		for i := lo; i < hi; i++ {
+			fill(i, m.Data[i*cols:(i+1)*cols])
+		}
+	}
+	if ff.IsConcurrentSafe(f) {
+		parallelFor(rows, formRowsGrain, body)
+	} else {
+		for lo := 0; lo < rows; lo += formRowsGrain {
+			body(lo, min(lo+formRowsGrain, rows))
+		}
+	}
+	if cancelled.Load() {
+		return nil, ctx.Err()
+	}
+	return m, nil
 }
 
 // ScaleRowsDiag returns D·m for the diagonal matrix with entries d — row i

@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,3 +343,64 @@ func TestPoolMetrics(t *testing.T) {
 		t.Fatal("busy gauge must be non-negative")
 	}
 }
+
+// TestFormRowsCancelMidway cancels the context from inside one row and
+// checks that FormRows returns context.Canceled with every goroutine
+// stopping within its current chunk: a row starts after the cancellation
+// only inside a chunk already running, and no row is still running when
+// FormRows returns. A field without the ConcurrentSafe marker covers the
+// in-order path, which stops at the end of the cancelling row's chunk.
+func TestFormRowsCancelMidway(t *testing.T) {
+	const rows, cancelAt = 256, 20
+	run := func(t *testing.T, f ff.Field[uint64], inFlight int) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var filled, late, active atomic.Int64
+		m, err := FormRows(ctx, f, rows, 1, func(i int, row []uint64) {
+			active.Add(1)
+			defer active.Add(-1)
+			if ctx.Err() != nil {
+				late.Add(1)
+			}
+			if filled.Add(1) == cancelAt {
+				cancel()
+			}
+			row[0] = uint64(i)
+		})
+		if !errors.Is(err, context.Canceled) || m != nil {
+			t.Fatalf("FormRows = (%v, %v), want (nil, context.Canceled)", m, err)
+		}
+		if a := active.Load(); a != 0 {
+			t.Fatalf("%d rows still running after FormRows returned", a)
+		}
+		if got, bound := late.Load(), int64(inFlight*formRowsGrain); got >= bound {
+			t.Fatalf("%d rows ran after the cancellation, want < %d (one chunk per goroutine)", got, bound)
+		}
+	}
+	t.Run("pool", func(t *testing.T) { run(t, ff.MustFp64(ff.P62), PoolWorkers()+1) })
+	t.Run("in-order", func(t *testing.T) { run(t, serialField{}, 1) })
+}
+
+// TestFormRowsFillsEveryRow checks the uncancelled result on both paths.
+func TestFormRowsFillsEveryRow(t *testing.T) {
+	for _, f := range []ff.Field[uint64]{ff.MustFp64(ff.P62), serialField{}} {
+		m, err := FormRows(nil, f, 100, 3, func(i int, row []uint64) {
+			for j := range row {
+				row[j] = uint64(3*i + j)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range m.Data {
+			if v != uint64(k) {
+				t.Fatalf("entry %d = %d", k, v)
+			}
+		}
+	}
+}
+
+// serialField hides the ConcurrentSafe marker of the field it wraps (none
+// here: FormRows never calls the field), so FormRows takes its in-order
+// path.
+type serialField struct{ ff.Field[uint64] }

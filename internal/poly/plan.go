@@ -89,9 +89,11 @@ func (p *NTTPlan[E]) Transform(a []E) []E {
 }
 
 // ConvolveHat writes coefficients [lo, hi) of the linear convolution
-// (preimage of ahat) * x into out (which must have length hi−lo). The plan
-// length must cover the full product — deg(a) + len(x) − 1 ≤ Len() — so the
-// cyclic convolution the transform computes equals the linear one. One
+// (preimage of ahat) * x into out (which must have length hi−lo). The
+// transform computes the cyclic convolution, which wraps coefficient k ≥
+// Len() onto k − Len(); it equals the linear one on the window when every
+// wrapped index stays below lo, i.e. deg(a) + len(x) − 1 − lo < Len(). A
+// plan covering the full product satisfies this for every window. One
 // forward transform of x, one pointwise product, one inverse transform; the
 // 1/n normalization is folded into the extracted window.
 func (p *NTTPlan[E]) ConvolveHat(ahat, x []E, lo, hi int, out []E) {

@@ -150,3 +150,69 @@ func FuzzToeplitzNTTApply(fz *testing.F) {
 		}
 	})
 }
+
+// TestStructuredApplyMatchesDenseAcrossSizes checks Toeplitz, Hankel and
+// Sylvester applies against the dense product at sizes on both sides of
+// each power of two, on the NTT prime (middle-product transform) and on P62
+// (no 2-power roots: schoolbook fallback). On the NTT prime the Toeplitz
+// and Hankel plans must have the middle-product length nextpow2(2n−1) and
+// Sylvester's the full product length nextpow2(n).
+func TestStructuredApplyMatchesDenseAcrossSizes(t *testing.T) {
+	nextPow2 := func(m int) int {
+		l := 1
+		for l < m {
+			l <<= 1
+		}
+		return l
+	}
+	check := func(name string, n int, got, want []uint64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s n=%d: apply diverges from dense at %d", name, n, i)
+			}
+		}
+	}
+	for _, p := range []uint64{ff.PNTT62, ff.P62} {
+		f := ff.MustFp64(p)
+		src := ff.NewSource(29)
+		for _, n := range []int{1, 2, 3, 4, 5, 127, 128, 129, 255, 256, 257} {
+			x := ff.SampleVec[uint64](f, src, n, p)
+			tm := RandomToeplitz[uint64](f, src, n, p)
+			check("Toeplitz", n, tm.MulVec(f, x), tm.Dense(f).MulVec(f, x))
+			h := NewHankel(ff.SampleVec[uint64](f, src, 2*n-1, p))
+			check("Hankel", n, h.MulVec(f, x), h.Dense(f).MulVec(f, x))
+
+			m := (n + 1) / 2 // deg a; deg b = n − m, so the operator is n×n
+			a := ff.SampleVec[uint64](f, src, m+1, p)
+			b := ff.SampleVec[uint64](f, src, n-m+1, p)
+			a[m], b[n-m] = f.One(), f.One()
+			s := NewSylvester(f, a, b)
+			rows := s.Dense(f)
+			want := make([]uint64, n)
+			for i, row := range rows {
+				want[i] = ff.Dot[uint64](f, row, x)
+			}
+			check("Sylvester", n, s.Apply(f, x), want)
+
+			if p != ff.PNTT62 {
+				// A length-1 transform needs no root, so n = 1 may plan.
+				if n > 1 && (tm.ntt.ok || h.ntt.ok) {
+					t.Fatalf("P62 n=%d: a transform plan was built without 2-power roots", n)
+				}
+				continue
+			}
+			if got := tm.ntt.plan.Len(); got != nextPow2(2*n-1) {
+				t.Fatalf("Toeplitz n=%d: plan length %d, want %d", n, got, nextPow2(2*n-1))
+			}
+			if got := h.ntt.plan.Len(); got != nextPow2(2*n-1) {
+				t.Fatalf("Hankel n=%d: plan length %d, want %d", n, got, nextPow2(2*n-1))
+			}
+			if s.antt.ok {
+				if got := s.antt.plan.Len(); got != nextPow2(n) {
+					t.Fatalf("Sylvester n=%d: plan length %d, want %d", n, got, nextPow2(n))
+				}
+			}
+		}
+	}
+}

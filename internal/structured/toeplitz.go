@@ -34,13 +34,21 @@ type nttCache[E any] struct {
 
 // convolve fills the cache on first use and, when the field supports the
 // fused transform, writes coefficients [lo, hi) of D(z)·x(z) into out,
-// reporting whether it did.
+// reporting whether it did. Every caller of one cache passes the same
+// lengths and window, so the plan is sized on the first call.
+//
+// Only the window is needed, so the transform is a middle product: a
+// cyclic length L ≥ hi wraps product coefficient k ≥ L onto k − L, which
+// lands below lo whenever L > len(d)+len(x)−2−lo. For Toeplitz and Hankel
+// (lo = n−1) that is L ≥ 2n−1 instead of the full product length 3n−2
+// (512 instead of 1024 at n = 256); Sylvester (lo = 0) keeps the full
+// length.
 func (c *nttCache[E]) convolve(f ff.Field[E], d, x []E, lo, hi int, out []E) bool {
 	if c == nil {
 		return false
 	}
 	c.once.Do(func() {
-		plan, err := poly.NewNTTPlan(f, len(d)+len(x)-1)
+		plan, err := poly.NewNTTPlan(f, max(hi, len(d), len(x), len(d)+len(x)-1-lo))
 		if err != nil {
 			return // typed ErrNoRootOfUnity / ErrNoNTTKernel: schoolbook fallback
 		}
