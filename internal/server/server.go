@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/big"
 	"net/http"
@@ -282,7 +283,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, route string, la
 	)
 	pprof.Do(ctx, pprof.Labels("trace_id", tc.Trace.String(), "route", route), func(ctx context.Context) {
 		sp := obs.StartPhaseCtx(ctx, "request/"+route)
-		status, resp, err = s.serve(r.WithContext(ctx), route)
+		status, resp, err = s.serve(w, r.WithContext(ctx), route)
 		sp.End()
 	})
 	wall := time.Since(start)
@@ -346,19 +347,51 @@ func (s *Server) recordTrace(route string, resp *SolveResponse, status int, star
 	ts.Record(rt)
 }
 
+// bodyReadTimeout bounds how long a client may take to send a request
+// body, counted from when its handler starts reading, so a client that
+// trickles its body cannot hold a connection and a request slot until the
+// request deadline.
+const defaultBodyReadTimeout = 30 * time.Second
+
+// bodyReadTimeout is the default; tests shorten it.
+var bodyReadTimeout = defaultBodyReadTimeout
+
+// decodeBody strictly decodes r's JSON body into v: a typo'd or
+// unsupported top-level field is a client bug the server must name, not
+// silently ignore. It reads at most limit bytes, and the whole body,
+// trailing bytes included, within bodyReadTimeout. The deadline is lifted
+// once the body is in: from then on net/http reads the connection to
+// notice a client disconnect and cancels the request context if that read
+// fails, so a live deadline would cancel the solve. After a failed read
+// the deadline stays, so the server's own drain of the unread body is
+// bounded too.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	rc := http.NewResponseController(w)
+	// A writer without a connection (httptest.ResponseRecorder) reports
+	// ErrNotSupported; its body is in memory already.
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	body := http.MaxBytesReader(nil, r.Body, limit)
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := io.Copy(io.Discard, body); err != nil {
+		return err
+	}
+	_ = rc.SetReadDeadline(time.Time{})
+	return nil
+}
+
 // serve decodes and executes one request, returning the HTTP status and
 // either a response or an error.
-func (s *Server) serve(r *http.Request, route string) (int, *SolveResponse, error) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string) (int, *SolveResponse, error) {
 	var req SolveRequest
 	// Bound the body by what a MaxDim system can legitimately need
 	// (~20 bytes per decimal entry) so a hostile body cannot balloon memory
 	// before validation sees the dimensions.
 	limit := int64(s.cfg.MaxDim)*int64(s.cfg.MaxDim)*24 + 1<<20
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
-	// Strict body: a typo'd or unsupported top-level field is a client bug
-	// the server must name, not silently ignore.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, limit, &req); err != nil {
 		return http.StatusBadRequest, nil, fmt.Errorf("decode request: %w", err)
 	}
 

@@ -70,7 +70,11 @@ func MinPolySeq[E any](f ff.Field[E], a matrix.BlackBox[E], u, b []E) ([]E, erro
 	sp.End()
 	sp = obs.StartPhase(obs.PhaseMinPoly)
 	defer sp.End()
-	return seq.MinPoly(f, s)
+	mp, err := seq.MinPoly(f, s)
+	if err == nil {
+		sp.AddSteps(uint64(len(s)))
+	}
+	return mp, err
 }
 
 // MinPoly returns (with high probability) the minimum polynomial f^A of the
@@ -306,10 +310,11 @@ func solveAttempt[E any](f ff.Field[E], a matrix.BlackBox[E], b []E, src *ff.Sou
 	sp = obs.StartPhase(obs.PhaseMinPoly)
 	defer sp.End()
 	mp, err := seq.MinPoly(f, s)
-	sp.End()
 	if err != nil {
 		return nil, obs.OutcomeError, obs.PhaseMinPoly, err
 	}
+	sp.AddSteps(uint64(len(s)))
+	sp.End()
 	d := poly.Deg(f, mp)
 	c0 := poly.Coef(f, mp, 0)
 	if d < 1 || f.IsZero(c0) {
