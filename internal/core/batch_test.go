@@ -53,6 +53,50 @@ func TestSolverSolveBatch(t *testing.T) {
 	}
 }
 
+// TestFactoredSolveAppliesReachRequestScope replays a factorization under
+// a request scope, as a kpd cache hit does: the backsolve's n−1 applies and
+// their time land on the request's own batch/backsolve span, not on
+// whatever span is innermost on the Observer.
+func TestFactoredSolveAppliesReachRequestScope(t *testing.T) {
+	o := obs.New(0)
+	s, err := NewSolver[uint64](fp, Options{Seed: 1, Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obs.SetActive(nil)
+	src := ff.NewSource(409)
+	n := 9
+	a := nonsingular(t, src, n)
+	h, err := s.Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := o.StartSpan("outer")
+	defer outer.End()
+	sc := obs.NewScope(obs.NewTraceContext())
+	ctx := obs.ContextWithScope(context.Background(), sc)
+	if _, err := h.SolveCtx(ctx, ff.SampleVec[uint64](fp, src, n, ff.P31)); err != nil {
+		t.Fatal(err)
+	}
+	backsolves := 0
+	for _, r := range sc.Spans() {
+		if r.Name != obs.PhaseBatchBacksolve {
+			continue
+		}
+		backsolves++
+		if r.ApplyCalls != uint64(n-1) || r.ApplyNs <= 0 {
+			t.Fatalf("request batch/backsolve span: %d applies in %d ns, want n−1 = %d applies and their time", r.ApplyCalls, r.ApplyNs, n-1)
+		}
+	}
+	if backsolves != 1 {
+		t.Fatalf("request scope holds %d batch/backsolve spans, want 1", backsolves)
+	}
+	outer.End()
+	if got := o.PhaseTotals()["outer"].ApplyCalls; got != 0 {
+		t.Fatalf("%d applies leaked onto the Observer's innermost span", got)
+	}
+}
+
 // TestSolverFactored exercises the reusable handle through the Solver
 // surface and pins the "skips Krylov" claim at this level too: after
 // Factor, further Solve calls on the handle add no batch/krylov span.

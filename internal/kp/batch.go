@@ -55,7 +55,7 @@ type Factorization[E any] struct {
 func factorOnce[E any](ctx context.Context, f ff.Field[E], mul matrix.Multiplier[E], a *matrix.Dense[E], rnd Randomness[E]) (*Factorization[E], error) {
 	sp := obs.StartPhaseCtx(ctx, obs.PhaseBatchPrecondition)
 	defer sp.End()
-	atilde := timedBox[E]{b: matrix.DenseBox[E]{M: precondition(f, mul, a, rnd)}}
+	atilde := matrix.DenseBox[E]{M: precondition(f, mul, a, rnd)}
 	sp.End()
 	cp, err := charPolyBox(ctx, f, atilde, rnd, obs.PhaseBatchKrylov, obs.PhaseBatchMinPoly)
 	if err != nil {
@@ -80,7 +80,7 @@ func (fa *Factorization[E]) backsolve(ctx context.Context, bm *matrix.Dense[E]) 
 	defer sp.End()
 	out := matrix.NewDense(fa.f, fa.n, bm.Cols)
 	for j := 0; j < bm.Cols; j++ {
-		x, err := chBacksolve(ctx, fa.f, fa.atilde, fa.h, fa.rnd.D, fa.cp, fa.scale, bm.Col(j))
+		x, err := chBacksolve(ctx, sp, fa.f, fa.atilde, fa.h, fa.rnd.D, fa.cp, fa.scale, bm.Col(j))
 		if err != nil {
 			return nil, err
 		}

@@ -35,17 +35,17 @@ import (
 // apply and every chunk of Solve's formation rows, so a cancelled request
 // stops within one apply or one chunk.
 
-// timedBox attributes per-apply wall time and call counts to the innermost
-// open obs span, surfacing as the apply_ns/apply_calls span fields and
+// apply returns Ã·v, booking its wall time and one call on sp, the phase
+// span the caller holds (so under a kpd request scope they reach the
+// request's own span), as the apply_ns/apply_calls span fields and
 // kpbench's apply_ns column.
-type timedBox[E any] struct{ b matrix.BlackBox[E] }
-
-func (t timedBox[E]) Dims() (int, int) { return t.b.Dims() }
-
-func (t timedBox[E]) Apply(f ff.Field[E], x []E) []E {
+func apply[E any](sp *obs.Span, f ff.Field[E], atilde matrix.BlackBox[E], v []E) []E {
+	if sp == nil {
+		return atilde.Apply(f, v)
+	}
 	start := time.Now()
-	out := t.b.Apply(f, x)
-	obs.AddApplyTime(time.Since(start), 1)
+	out := atilde.Apply(f, v)
+	sp.AddApplyTime(time.Since(start), 1)
 	return out
 }
 
@@ -64,7 +64,7 @@ func charPolyBox[E any](ctx context.Context, f ff.Field[E], atilde matrix.BlackB
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
-			v = atilde.Apply(f, v)
+			v = apply(sp, f, atilde, v)
 		}
 		a[i] = ff.DotFused(f, rnd.U, v)
 	}
@@ -87,8 +87,8 @@ func charPolyBox[E any](ctx context.Context, f ff.Field[E], atilde matrix.BlackB
 
 // chBacksolve returns x = H·(D·x̃) for the Cayley–Hamilton solution
 // x̃ = scale·Σ_{j<n} c_{j+1}·Ãʲ·b of Ã·x̃ = b, where scale = −1/c₀, with
-// n−1 applies.
-func chBacksolve[E any](ctx context.Context, f ff.Field[E], atilde matrix.BlackBox[E], h structured.Hankel[E], d, cp []E, scale E, b []E) ([]E, error) {
+// n−1 applies booked on sp.
+func chBacksolve[E any](ctx context.Context, sp *obs.Span, f ff.Field[E], atilde matrix.BlackBox[E], h structured.Hankel[E], d, cp []E, scale E, b []E) ([]E, error) {
 	n := len(b)
 	acc := ff.VecZero(f, n)
 	v := b
@@ -97,7 +97,7 @@ func chBacksolve[E any](ctx context.Context, f ff.Field[E], atilde matrix.BlackB
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
-			v = atilde.Apply(f, v)
+			v = apply(sp, f, atilde, v)
 		}
 		ff.VecMulAddInto(f, acc, cp[j+1], v)
 	}
@@ -144,7 +144,7 @@ func solveAttempt[E any](ctx context.Context, f ff.Field[E], a *matrix.Dense[E],
 	if err != nil {
 		return nil, err
 	}
-	atilde := timedBox[E]{b: matrix.DenseBox[E]{M: at}}
+	atilde := matrix.DenseBox[E]{M: at}
 	sp.End()
 	cp, err := charPolyBox(ctx, f, atilde, rnd, obs.PhaseKrylov, obs.PhaseMinPoly)
 	if err != nil {
@@ -156,5 +156,5 @@ func solveAttempt[E any](ctx context.Context, f ff.Field[E], a *matrix.Dense[E],
 	if err != nil {
 		return nil, inPhase(obs.PhaseBacksolve, err)
 	}
-	return chBacksolve(ctx, f, atilde, h, rnd.D, cp, scale, b)
+	return chBacksolve(ctx, sp, f, atilde, h, rnd.D, cp, scale, b)
 }

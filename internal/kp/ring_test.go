@@ -204,7 +204,7 @@ func TestSolveRatClearsDenominators(t *testing.T) {
 func TestRankInt(t *testing.T) {
 	a := rns.IntMatFromInt64([][]int64{
 		{1, 2, 3, 4},
-		{2, 4, 6, 8},  // dependent
+		{2, 4, 6, 8}, // dependent
 		{0, 1, 1, -1},
 	})
 	r, stats, err := RankInt(nil, a, rns.Params{}, Params{})

@@ -1,6 +1,10 @@
 package matrix
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math/big"
 	"testing"
 
@@ -78,4 +82,117 @@ func TestDigestDeterministic(t *testing.T) {
 	if DigestString[uint64](f, a) != DigestString[uint64](f, a.Clone()) {
 		t.Fatal("clone digests differently")
 	}
+}
+
+// BenchmarkDigest times the kpd cache key of a full-width P62 matrix. Its
+// allocs/op must not grow with n: entries are formatted into one buffer.
+func BenchmarkDigest(b *testing.B) {
+	f := ff.MustFp64(ff.P62)
+	for _, n := range []int{64, 256} {
+		a := Random[uint64](f, ff.NewSource(uint64(n)), n, n, f.Modulus())
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Digest[uint64](f, a)
+			}
+		})
+	}
+}
+
+// referenceDigest is the v1 token stream written the plain way: one
+// length-prefixed Field.String token per entry, straight into the hash.
+// Digest must agree with it on every matrix.
+func referenceDigest[E any](f ff.Field[E], m *Dense[E]) [DigestSize]byte {
+	h := sha256.New()
+	writeToken(h, []byte("kp/matrix/v1"))
+	writeToken(h, []byte(f.Characteristic().String()))
+	writeToken(h, []byte(f.Cardinality().String()))
+	var dims [16]byte
+	binary.BigEndian.PutUint64(dims[0:8], uint64(m.Rows))
+	binary.BigEndian.PutUint64(dims[8:16], uint64(m.Cols))
+	h.Write(dims[:])
+	for _, e := range m.Data {
+		writeToken(h, []byte(f.String(e)))
+	}
+	var out [DigestSize]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// referenceDigestInts is the ring-ℤ reference stream (big.Int.String).
+func referenceDigestInts(rows, cols int, data []*big.Int) [DigestSize]byte {
+	h := sha256.New()
+	writeToken(h, []byte("kp/matrix/zz/v1"))
+	var dims [16]byte
+	binary.BigEndian.PutUint64(dims[0:8], uint64(rows))
+	binary.BigEndian.PutUint64(dims[8:16], uint64(cols))
+	h.Write(dims[:])
+	for _, e := range data {
+		writeToken(h, []byte(e.String()))
+	}
+	var out [DigestSize]byte
+	h.Sum(out[:0])
+	return out
+}
+
+func writeToken(w io.Writer, b []byte) {
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(len(b)))
+	w.Write(n[:])
+	w.Write(b)
+}
+
+// FuzzDigest checks Digest (Fp64 and FpBig) and DigestInts against the
+// reference token streams on matrices cut from the fuzz input: 8 bytes per
+// entry, the first byte of the input picking the field and the row count.
+// Large inputs cross the buffer's flush boundary many times.
+func FuzzDigest(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(make([]byte, 1+8*64))
+	f.Add(append([]byte{0x13}, make([]byte, 8*300)...))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0, 0, 0, 0, 1})
+	type fields struct {
+		fp ff.Fp64
+		fb ff.FpBig
+	}
+	var all []fields
+	for _, p := range []uint64{ff.P62, ff.PNTT62, 101, 2} {
+		fb, err := ff.NewFpBig(new(big.Int).SetUint64(p))
+		if err != nil {
+			f.Fatal(err)
+		}
+		all = append(all, fields{ff.MustFp64(p), fb})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		fp, fb := all[int(data[0])%len(all)].fp, all[int(data[0])%len(all)].fb
+		p := fp.Modulus()
+		words := (len(data) - 1) / 8
+		rows := 1 + int(data[0]>>2)%8
+		cols := words / rows
+		m := &Dense[uint64]{Rows: rows, Cols: cols, Data: make([]uint64, rows*cols)}
+		mb := &Dense[*big.Int]{Rows: rows, Cols: cols, Data: make([]*big.Int, rows*cols)}
+		ints := make([]*big.Int, rows*cols)
+		for i := range m.Data {
+			w := binary.LittleEndian.Uint64(data[1+8*i:])
+			m.Data[i] = w % p
+			mb.Data[i] = new(big.Int).SetUint64(m.Data[i])
+			// Signed, and multi-word when the top bit is set.
+			ints[i] = big.NewInt(int64(w))
+			if w>>63 == 1 {
+				ints[i].Mul(ints[i], new(big.Int).SetUint64(w))
+			}
+		}
+		if got, want := Digest[uint64](fp, m), referenceDigest[uint64](fp, m); got != want {
+			t.Fatalf("Fp64 over %d, %d×%d: digest %x, reference %x", p, rows, cols, got, want)
+		}
+		if got, want := Digest[*big.Int](fb, mb), referenceDigest[*big.Int](fb, mb); got != want {
+			t.Fatalf("FpBig over %d, %d×%d: digest %x, reference %x", p, rows, cols, got, want)
+		}
+		if got, want := DigestInts(rows, cols, ints), referenceDigestInts(rows, cols, ints); got != want {
+			t.Fatalf("DigestInts %d×%d: digest %x, reference %x", rows, cols, got, want)
+		}
+	})
 }

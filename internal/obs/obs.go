@@ -276,17 +276,6 @@ func (s *Span) AddApplyTime(d time.Duration, calls uint64) {
 	s.applyCalls.Add(calls)
 }
 
-// AddApplyTime attributes black-box apply time to the innermost open span
-// of the active Observer — the hook the kp black-box Ã operators report
-// through, giving kpbench its apply_ns column.
-func AddApplyTime(d time.Duration, calls uint64) {
-	o := active.Load()
-	if o == nil {
-		return
-	}
-	o.current.Load().AddApplyTime(d, calls)
-}
-
 // AddSteps attributes n algorithm-level work units to the span.
 func (s *Span) AddSteps(n uint64) {
 	if s == nil {

@@ -38,7 +38,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/big"
 	"net/http"
@@ -114,8 +113,11 @@ type Server struct {
 	srcMu sync.Mutex
 	src   *ff.Source
 
+	// solvers memoizes, per modulus, the validated field and its solver:
+	// proving a modulus prime takes about 0.1 ms, a tenth of a whole cache
+	// hit at n = 64. At most maxSolvers entries; see fieldFor.
 	solverMu sync.Mutex
-	solvers  map[uint64]*core.Solver[uint64] // one per modulus
+	solvers  map[uint64]fieldSolver
 
 	sem    chan struct{} // execution slots (MaxConcurrent)
 	queued atomic.Int64
@@ -161,7 +163,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cache:   NewCache[uint64](cfg.CacheSize),
 		src:     ff.NewSource(cfg.Seed),
-		solvers: make(map[uint64]*core.Solver[uint64]),
+		solvers: make(map[uint64]fieldSolver),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		intEng:  kp.NewIntEngine(intMul),
 	}, nil
@@ -347,42 +349,6 @@ func (s *Server) recordTrace(route string, resp *SolveResponse, status int, star
 	ts.Record(rt)
 }
 
-// bodyReadTimeout bounds how long a client may take to send a request
-// body, counted from when its handler starts reading, so a client that
-// trickles its body cannot hold a connection and a request slot until the
-// request deadline.
-const defaultBodyReadTimeout = 30 * time.Second
-
-// bodyReadTimeout is the default; tests shorten it.
-var bodyReadTimeout = defaultBodyReadTimeout
-
-// decodeBody strictly decodes r's JSON body into v: a typo'd or
-// unsupported top-level field is a client bug the server must name, not
-// silently ignore. It reads at most limit bytes, and the whole body,
-// trailing bytes included, within bodyReadTimeout. The deadline is lifted
-// once the body is in: from then on net/http reads the connection to
-// notice a client disconnect and cancels the request context if that read
-// fails, so a live deadline would cancel the solve. After a failed read
-// the deadline stays, so the server's own drain of the unread body is
-// bounded too.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	rc := http.NewResponseController(w)
-	// A writer without a connection (httptest.ResponseRecorder) reports
-	// ErrNotSupported; its body is in memory already.
-	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
-	body := http.MaxBytesReader(nil, r.Body, limit)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := io.Copy(io.Discard, body); err != nil {
-		return err
-	}
-	_ = rc.SetReadDeadline(time.Time{})
-	return nil
-}
-
 // serve decodes and executes one request, returning the HTTP status and
 // either a response or an error.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string) (int, *SolveResponse, error) {
@@ -403,11 +369,11 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string) (in
 		return http.StatusBadRequest, nil, fmt.Errorf("unknown ring %q (want \"fp\", \"zz\" or \"qq\")", req.Ring)
 	}
 
-	f, a, err := s.buildSystem(&req)
+	fs, a, err := s.buildSystem(&req)
 	if err != nil {
 		return http.StatusBadRequest, nil, err
 	}
-	n := a.Rows
+	f, n := fs.f, a.Rows
 
 	// Per-request deadline, clamped to the server cap, cancels the Las
 	// Vegas drivers cooperatively via kp.Params.Ctx (the request context
@@ -435,10 +401,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string) (in
 	// Krylov phase and go straight to the backsolve.
 	digest := matrix.DigestString[uint64](f, a)
 	fa, hit, err := s.cache.GetOrFactor(ctx, digest, func() (*core.Factored[uint64], error) {
-		solver, err := s.solverFor(f)
-		if err != nil {
-			return nil, err
-		}
 		// Nested pprof label: profile samples inside the expensive
 		// cache-miss factorization additionally carry phase=factor.
 		var (
@@ -446,7 +408,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string) (in
 			ferr error
 		)
 		pprof.Do(ctx, pprof.Labels("phase", "factor"), func(ctx context.Context) {
-			fa, ferr = solver.WithSource(s.splitSource()).FactorCtx(ctx, a)
+			fa, ferr = fs.solver.WithSource(s.splitSource()).FactorCtx(ctx, a)
 		})
 		return fa, ferr
 	})
@@ -632,43 +594,43 @@ func buildRatSystem(az [][]string, bz []string) ([][]*big.Rat, []*big.Rat, error
 	return a, b, nil
 }
 
-// buildSystem validates the request shape and materializes the field and
-// matrix. Entries are reduced modulo p, so clients may send any residue
-// representative.
-func (s *Server) buildSystem(req *SolveRequest) (ff.Fp64, *matrix.Dense[uint64], error) {
-	var f ff.Fp64
+// buildSystem validates the request shape and materializes the field (with
+// its solver) and matrix. Entries are reduced modulo p, so clients may send
+// any residue representative.
+func (s *Server) buildSystem(req *SolveRequest) (fieldSolver, *matrix.Dense[uint64], error) {
 	n := len(req.A)
 	if n == 0 {
-		return f, nil, fmt.Errorf("empty system: %w", kp.ErrBadShape)
+		return fieldSolver{}, nil, fmt.Errorf("empty system: %w", kp.ErrBadShape)
 	}
 	if n > s.cfg.MaxDim {
-		return f, nil, fmt.Errorf("dimension %d exceeds the server limit %d: %w", n, s.cfg.MaxDim, kp.ErrBadShape)
+		return fieldSolver{}, nil, fmt.Errorf("dimension %d exceeds the server limit %d: %w", n, s.cfg.MaxDim, kp.ErrBadShape)
 	}
-	f, err := ff.NewFp64(req.P)
+	fs, err := s.fieldFor(req.P)
 	if err != nil {
-		return f, nil, err
+		return fs, nil, err
 	}
+	f := fs.f
 	a := matrix.NewDense[uint64](f, n, n)
 	for i, row := range req.A {
 		if len(row) != n {
-			return f, nil, fmt.Errorf("row %d has %d entries, want %d: %w", i, len(row), n, kp.ErrBadShape)
+			return fs, nil, fmt.Errorf("row %d has %d entries, want %d: %w", i, len(row), n, kp.ErrBadShape)
 		}
 		for j, v := range row {
 			a.Set(i, j, v%f.Modulus())
 		}
 	}
 	if req.B != nil && len(req.B) != n {
-		return f, nil, fmt.Errorf("right-hand side has %d entries, want %d: %w", len(req.B), n, kp.ErrBadShape)
+		return fs, nil, fmt.Errorf("right-hand side has %d entries, want %d: %w", len(req.B), n, kp.ErrBadShape)
 	}
 	for i := range req.B {
 		req.B[i] %= f.Modulus()
 	}
 	for j, col := range req.Bs {
 		if len(col) != n {
-			return f, nil, fmt.Errorf("right-hand side %d has %d entries, want %d: %w", j, len(col), n, kp.ErrBadShape)
+			return fs, nil, fmt.Errorf("right-hand side %d has %d entries, want %d: %w", j, len(col), n, kp.ErrBadShape)
 		}
 	}
-	return f, a, nil
+	return fs, a, nil
 }
 
 // acquire claims an execution slot, waiting in the bounded queue when all
@@ -720,13 +682,32 @@ func (s *Server) acquire(ctx context.Context) (func(), int, error) {
 	}, 0, nil
 }
 
-// solverFor returns (creating on first use) the solver for f's modulus.
-func (s *Server) solverFor(f ff.Fp64) (*core.Solver[uint64], error) {
-	key := f.Modulus()
+// maxSolvers bounds the per-modulus memo: each distinct prime a client
+// sends adds an entry, so without a bound a client could grow it without
+// limit. An evicted entry costs one primality proof to rebuild.
+const maxSolvers = 64
+
+// fieldSolver is one modulus's validated field and solver.
+type fieldSolver struct {
+	f      ff.Fp64
+	solver *core.Solver[uint64]
+}
+
+// fieldFor returns the field and solver for modulus p, proving p prime and
+// building the solver only for a modulus not already memoized. When the
+// memo is full an arbitrary entry makes room.
+func (s *Server) fieldFor(p uint64) (fieldSolver, error) {
 	s.solverMu.Lock()
-	defer s.solverMu.Unlock()
-	if sv, ok := s.solvers[key]; ok {
-		return sv, nil
+	fs, ok := s.solvers[p]
+	s.solverMu.Unlock()
+	if ok {
+		return fs, nil
+	}
+	// The primality proof runs unlocked, so requests on new moduli do not
+	// queue behind each other's.
+	f, err := ff.NewFp64(p)
+	if err != nil {
+		return fieldSolver{}, err
 	}
 	sv, err := core.NewSolver[uint64](f, core.Options{
 		Seed:       s.cfg.Seed,
@@ -735,10 +716,22 @@ func (s *Server) solverFor(f ff.Fp64) (*core.Solver[uint64], error) {
 		Logger:     s.cfg.Logger,
 	})
 	if err != nil {
-		return nil, err
+		return fieldSolver{}, err
 	}
-	s.solvers[key] = sv
-	return sv, nil
+	s.solverMu.Lock()
+	defer s.solverMu.Unlock()
+	if fs, ok := s.solvers[p]; ok {
+		return fs, nil // a concurrent request memoized p first
+	}
+	if len(s.solvers) >= maxSolvers {
+		for k := range s.solvers {
+			delete(s.solvers, k)
+			break
+		}
+	}
+	fs = fieldSolver{f: f, solver: sv}
+	s.solvers[p] = fs
+	return fs, nil
 }
 
 // splitSource derives one private random stream for a request. The root
